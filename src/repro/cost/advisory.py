@@ -27,6 +27,7 @@ import numpy as np
 from ..nfa.automaton import Network
 from ..nfa.determinize import DeterminizeError, determinize
 from ..semant.predict import predict_hot_cold
+from ..sim.dfa import compile_determinized, dfa_run
 from ..sim.reference import reference_run
 from ..sim.result import reports_equal
 from ..verify.diagnostics import VerificationReport
@@ -250,8 +251,9 @@ def check_advisory_soundness(
 
     For a partition the explorer proved safe, real determinization at the
     same budget must succeed with exactly the proven state count, and —
-    when ``replay_input`` is given — the materialized DFA must replay
-    bit-identical reports against the reference simulator.  Emits
+    when ``replay_input`` is given — the materialized DFA, packed and run
+    by :func:`~repro.sim.dfa.dfa_run`, must replay bit-identical reports
+    against the reference simulator.  Emits
     SPAP-C001 on any divergence; silent otherwise.
     """
     if not advisory.dfa_safe:
@@ -277,7 +279,8 @@ def check_advisory_soundness(
         return
     if replay_input is not None and network.n_states:
         expected = reference_run(network, replay_input)
-        if not reports_equal(dfa.run(replay_input), expected.reports):
+        replayed = dfa_run(compile_determinized(network, dfa), replay_input)
+        if not reports_equal(replayed.reports, expected.reports):
             report.emit(
                 "SPAP-C001",
                 "DFA replay diverged from the reference simulation "

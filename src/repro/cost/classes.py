@@ -2,8 +2,8 @@
 
 CAMA (PAPERS.md) shrinks 8-bit transition tables to the few dozen symbol
 *classes* an application actually distinguishes.  This module computes that
-effective class count per partition — reusing the same alphabet-class
-machinery determinization compresses columns with — and the resulting
+effective class count per partition — the class count of the same
+subset core determinization compresses columns with — and the resulting
 transition-table sizes under the two encodings the engines use:
 
 * **dense**: one row per byte value (the 256-row accept matrix of
@@ -24,7 +24,7 @@ from typing import Dict
 
 from .. import bitops
 from ..nfa.automaton import Network
-from ..nfa.determinize import alphabet_classes
+from ..nfa.determinize import subset_core
 from ..nfa.symbolset import ALPHABET_SIZE
 
 __all__ = ["ClassAnalysis", "analyze_symbol_classes"]
@@ -72,7 +72,7 @@ def analyze_symbol_classes(network: Network) -> ClassAnalysis:
             table_bytes_dense=ALPHABET_SIZE * n_words * 8,
             table_bytes_classed=1 * n_words * 8 + ALPHABET_SIZE,
         )
-    _class_of, n_classes = alphabet_classes(network)
+    n_classes = subset_core(network).n_classes
     distinct = {state.symbol_set for _g, _a, state in network.global_states()}
     return ClassAnalysis(
         n_states=n,

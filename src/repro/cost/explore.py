@@ -5,11 +5,11 @@ Processing" (PAPERS.md) shows a DFA backend only pays off when subset
 construction stays bounded; this module decides that *statically*, per
 partition, without ever materializing a transition table.
 
-The explorer walks exactly the transition function
-:func:`repro.nfa.determinize.determinize` materializes — same flattened
-tables (:func:`~repro.nfa.determinize.flatten_network`), same alphabet
-classes, same per-class representative symbols — so its verdict is a proof
-about that function, not about a reimplementation that could drift:
+The explorer is :func:`repro.nfa.determinize.determinize`'s own walk
+through the same :class:`~repro.nfa.determinize.SubsetCore` (one AND and
+one ``step`` per subset and class), breadth-first and keeping no rows — so
+its verdict is a proof about that function, not about a reimplementation
+that could drift:
 
 * ``dfa_safe=True`` means the set of reachable subset states was exhausted
   and its size is ``n_subset_states <= budget``.  Reachability of subsets
@@ -21,25 +21,18 @@ about that function, not about a reimplementation that could drift:
   had been discovered when the budget burst, at which BFS depth, and the
   largest subset seen (the blowup witness).
 
-Subsets are Python big-int bitmasks (bit ``g`` = global state ``g``), and
-each class's activation is one AND against a precomputed accept mask, so
-exploration is far cheaper than full determinization: no report rows, no
-transition rows, one integer hash per discovered subset.
+Without report or transition rows, exploration costs one set insertion
+per discovered subset beyond the walk itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Optional, Set, Tuple
 
 from ..nfa.automaton import Network
-from ..nfa.determinize import (
-    NetworkTables,
-    alphabet_classes,
-    class_representatives,
-    flatten_network,
-)
+from ..nfa.determinize import subset_core
 
 __all__ = ["DEFAULT_DFA_BUDGET", "SubsetExploration", "explore_subset_construction"]
 
@@ -81,41 +74,6 @@ class SubsetExploration:
         )
 
 
-def _accept_masks(tables: NetworkTables, network: Network) -> Tuple[List[int], int]:
-    """Per-class accept bitmask (states matching the class representative)."""
-    class_of, n_classes = alphabet_classes(network)
-    representative = class_representatives(class_of, n_classes)
-    masks = [0] * n_classes
-    for cls in range(n_classes):
-        symbol = int(representative[cls])
-        mask = 0
-        for gid, symbol_set in enumerate(tables.symbol_sets):
-            if symbol_set.matches(symbol):
-                mask |= 1 << gid
-        masks[cls] = mask
-    return masks, n_classes
-
-
-def _successor_masks(tables: NetworkTables) -> List[int]:
-    masks = [0] * tables.n_states
-    for gid, successors in enumerate(tables.successors):
-        mask = 0
-        for dst in successors:
-            mask |= 1 << dst
-        masks[gid] = mask
-    return masks
-
-
-def _bits(mask: int) -> List[int]:
-    """Indices of set bits, ascending."""
-    out: List[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def explore_subset_construction(
     network: Network, *, budget: int = DEFAULT_DFA_BUDGET
 ) -> SubsetExploration:
@@ -127,42 +85,33 @@ def explore_subset_construction(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    tables = flatten_network(network)
-    accept_masks, n_classes = _accept_masks(tables, network)
-    succ_masks = _successor_masks(tables)
-    always_mask = 0
-    for gid in tables.always:
-        always_mask |= 1 << gid
-    initial_mask = 0
-    for gid in tables.initial:
-        initial_mask |= 1 << gid
-
-    seen: Dict[int, None] = {initial_mask: None}
-    frontier: Deque[Tuple[int, int]] = deque([(initial_mask, 0)])
-    max_subset_size = bin(initial_mask).count("1")
+    core = subset_core(network)
+    step = core.step
+    moving = ~core.always_mask
+    classes = [
+        (accept & moving, start)
+        for accept, start in zip(core.accept_masks, core.start_steps())
+    ]
+    seen: Set[int] = {core.initial_mask}
+    frontier: Deque[Tuple[int, int]] = deque([(core.initial_mask, 0)])
+    max_subset_size = bin(core.initial_mask).count("1")
 
     while frontier:
         current, depth = frontier.popleft()
-        # Memoize successor-union per activated set?  Not needed: each
-        # subset is expanded once, and the AND below prunes to the states
-        # that actually fire for this class.
-        for cls in range(n_classes):
-            activated = current & accept_masks[cls]
-            nxt = always_mask
-            for gid in _bits(activated):
-                nxt |= succ_masks[gid]
+        for accept, start in classes:
+            nxt = step(current & accept) | start
             if nxt not in seen:
                 if len(seen) >= budget:
                     return SubsetExploration(
                         dfa_safe=False,
                         budget=budget,
                         n_subset_states=len(seen) + 1,
-                        n_classes=n_classes,
-                        n_nfa_states=tables.n_states,
+                        n_classes=core.n_classes,
+                        n_nfa_states=core.n_states,
                         max_subset_size=max_subset_size,
                         frontier_depth=depth + 1,
                     )
-                seen[nxt] = None
+                seen.add(nxt)
                 frontier.append((nxt, depth + 1))
                 size = bin(nxt).count("1")
                 if size > max_subset_size:
@@ -171,8 +120,8 @@ def explore_subset_construction(
         dfa_safe=True,
         budget=budget,
         n_subset_states=len(seen),
-        n_classes=n_classes,
-        n_nfa_states=tables.n_states,
+        n_classes=core.n_classes,
+        n_nfa_states=core.n_states,
         max_subset_size=max_subset_size,
         frontier_depth=None,
     )

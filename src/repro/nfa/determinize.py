@@ -12,24 +12,25 @@ states; all-input start states are re-enabled on every transition, and a
 transition that activates reporting NFA states emits those reports at the
 consumed position.
 
-The flattening (:func:`flatten_network`), alphabet-class computation
-(:func:`alphabet_classes`), and per-class representative selection
-(:func:`class_representatives`) are public because the budgeted
-subset-construction *explorer* in :mod:`repro.cost.explore` must walk
-exactly the same transition function this module materializes: sharing the
-tables is what makes its DFA-safety verdicts proofs about *this*
-``determinize`` rather than about a reimplementation that could drift
-(DESIGN.md §12).
+Every subset walk in the package runs through one :class:`SubsetCore`,
+built once per network by :func:`subset_core`: the byte→class map, the
+per-class accept masks, the per-state successor masks and one
+:meth:`SubsetCore.step`.  A subset is a Python big-int (bit ``g`` = global
+state ``g``).  :func:`determinize` walks the subsets depth-first keeping
+table rows; the budgeted explorer (:mod:`repro.cost.explore`) walks them
+breadth-first keeping none; the lazy DFA (:mod:`repro.sim.lazydfa`) steps
+them on demand.  Sharing the core is what makes the explorer's DFA-safety
+verdicts proofs about *this* ``determinize`` rather than about a
+reimplementation that could drift (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
-from ..sim.result import reports_to_array
 from .automaton import Network, StartKind
 from .symbolset import ALPHABET_SIZE, SymbolSet
 
@@ -37,10 +38,10 @@ __all__ = [
     "DFA",
     "DeterminizeError",
     "NetworkTables",
-    "alphabet_classes",
-    "class_representatives",
+    "SubsetCore",
     "determinize",
     "flatten_network",
+    "subset_core",
 ]
 
 
@@ -100,33 +101,126 @@ def flatten_network(network: Network) -> NetworkTables:
     )
 
 
-def alphabet_classes(network: Network) -> Tuple[np.ndarray, int]:
-    """Group symbols that every state in the network treats identically.
+def _mask_bits(mask: int) -> List[int]:
+    """Indices of the set bits of ``mask``, ascending (a subset's states)."""
+    out: List[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Returns ``(class_of, n_classes)`` where ``class_of[b]`` maps byte ``b``
-    to its equivalence-class index.  Two bytes share a class exactly when
-    no symbol-set in the network distinguishes them, so a transition table
-    needs one column per class rather than one per byte (CAMA's
-    observation: real rulesets use a few dozen classes, not 256).
+
+def _index_mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for index in indices:
+        mask |= 1 << index
+    return mask
+
+
+def _bool_mask(flags: np.ndarray) -> int:
+    """A boolean vector as a big-int (element ``g`` -> bit ``g``)."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+@dataclass(frozen=True, eq=False)
+class SubsetCore:
+    """The subset-construction transition function of one network.
+
+    On symbol class ``c`` a subset ``s`` activates ``s & accept_masks[c]``;
+    :meth:`step` turns the activated states into the successor subset and
+    :meth:`reports` into the reporting states they fire.  ``class_of[b]``
+    is byte ``b``'s class.  Two bytes share a class exactly when no
+    symbol-set in the network distinguishes them (CAMA's observation: real
+    rulesets use a few dozen classes, not 256); classes are numbered in
+    the order of their smallest byte.
     """
-    classes: Dict[Tuple[bool, ...], int] = {}
-    class_of = np.zeros(ALPHABET_SIZE, dtype=np.int64)
-    distinct_sets = {state.symbol_set for _g, _a, state in network.global_states()}
-    ordered = sorted(distinct_sets, key=lambda symbol_set: symbol_set.mask)
+
+    n_states: int
+    class_of: np.ndarray  # (256,) int64
+    accept_masks: Tuple[int, ...]  # per class
+    succ_masks: Tuple[int, ...]  # per global state
+    always_mask: int  # all-input starts, re-enabled every step
+    initial_mask: int  # both start kinds
+    report_mask: int
+    mid_report_mask: int  # reporters that may fire before the last symbol
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.accept_masks)
+
+    def step(self, activated: int) -> int:
+        """The always-enabled states OR'd with the successors of
+        ``activated``: the subset enabled after those states matched."""
+        nxt = self.always_mask
+        succ_masks = self.succ_masks
+        while activated:
+            low = activated & -activated
+            nxt |= succ_masks[low.bit_length() - 1]
+            activated ^= low
+        return nxt
+
+    def start_steps(self) -> List[int]:
+        """Per class, the step of the always-enabled states it activates.
+
+        Every reachable subset holds the always-enabled states, so a walk
+        steps only the rest of a subset:
+        ``step(subset & accept) == step(subset & accept & ~always_mask) |
+        start_steps()[cls]``.  On start-heavy networks (hundreds of
+        all-input rules) that skips most of each step's successor ORs.
+        """
+        return [self.step(self.always_mask & accept) for accept in self.accept_masks]
+
+    def reports(self, activated: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(fired, fired_mid)``: the reporting states among ``activated``,
+        ascending, and the same without end-of-data reporters."""
+        fired = activated & self.report_mask
+        if not fired:
+            return (), ()
+        return tuple(_mask_bits(fired)), tuple(_mask_bits(fired & self.mid_report_mask))
+
+
+def subset_core(network: Network) -> SubsetCore:
+    """Build the :class:`SubsetCore` of ``network``.
+
+    Classes and accept masks come from one distinct-symbol-sets x 256 bit
+    matrix: a byte's class is its column, and a class's accept mask is its
+    representative byte's column spread over the states.
+    """
+    tables = flatten_network(network)
+    distinct: Dict[int, int] = {}
+    set_of_state = np.array(
+        [distinct.setdefault(s.mask, len(distinct)) for s in tables.symbol_sets],
+        dtype=np.intp,
+    )
+    row_bytes = ALPHABET_SIZE // 8
+    raw = b"".join(mask.to_bytes(row_bytes, "little") for mask in distinct)
+    matches = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(distinct), row_bytes),
+        axis=1,
+        bitorder="little",
+    )
+    columns = np.ascontiguousarray(np.packbits(matches, axis=0).T)
+    class_by_column: Dict[bytes, int] = {}
+    class_of: List[int] = []
     for symbol in range(ALPHABET_SIZE):
-        signature = tuple(symbol_set.matches(symbol) for symbol_set in ordered)
-        if signature not in classes:
-            classes[signature] = len(classes)
-        class_of[symbol] = classes[signature]
-    return class_of, len(classes)
-
-
-def class_representatives(class_of: np.ndarray, n_classes: int) -> np.ndarray:
-    """One representative symbol per class (the smallest member)."""
-    representative = np.zeros(n_classes, dtype=np.int64)
-    for symbol in range(ALPHABET_SIZE - 1, -1, -1):
-        representative[int(class_of[symbol])] = symbol
-    return representative
+        class_of.append(
+            class_by_column.setdefault(columns[symbol].tobytes(), len(class_by_column))
+        )
+    representatives = [class_of.index(cls) for cls in range(len(class_by_column))]
+    accepted = matches[:, representatives][set_of_state].T  # (classes, states)
+    reporting = np.array(tables.reporting, dtype=bool)
+    eod = np.array(tables.eod, dtype=bool)
+    return SubsetCore(
+        n_states=tables.n_states,
+        class_of=np.array(class_of, dtype=np.int64),
+        accept_masks=tuple(_bool_mask(row) for row in accepted),
+        succ_masks=tuple(_index_mask(successors) for successors in tables.successors),
+        always_mask=_index_mask(tables.always),
+        initial_mask=_index_mask(tables.initial),
+        report_mask=_bool_mask(reporting),
+        mid_report_mask=_bool_mask(reporting & ~eod),
+    )
 
 
 @dataclass
@@ -139,8 +233,9 @@ class DFA:
     with end-of-data reporters removed (used at every position except the
     last).  ``subsets[s]`` is the set of global NFA states DFA state ``s``
     encodes — the subset-construction witness, kept so downstream
-    consumers (:mod:`repro.sim.dfa`) can recover NFA-level facts such as
-    the ever-enabled set without re-running subset construction.
+    consumers (:mod:`repro.sim.dfa`, which also executes the table) can
+    recover NFA-level facts such as the ever-enabled set without
+    re-running subset construction.
     """
 
     n_states: int
@@ -155,24 +250,6 @@ class DFA:
     def n_classes(self) -> int:
         return int(self.transitions.shape[1])
 
-    def run(self, input_data: Union[bytes, bytearray, str]) -> np.ndarray:
-        """Consume the input; return ``(position, nfa_state)`` reports."""
-        if isinstance(input_data, str):
-            input_data = input_data.encode("latin-1")
-        symbols = np.frombuffer(bytes(input_data), dtype=np.uint8)
-        classes = self.class_of_symbol[symbols]
-        out: List[Tuple[int, int]] = []
-        state = self.initial
-        transitions = self.transitions
-        last = int(classes.size) - 1
-        for position in range(classes.size):
-            cls = int(classes[position])
-            table = self.reports if position == last else self.reports_mid
-            for gid in table[state][cls]:
-                out.append((position, gid))
-            state = int(transitions[state, cls])
-        return reports_to_array(out)
-
 
 def determinize(network: Network, *, max_states: int = 65536) -> DFA:
     """Subset construction over the whole network.
@@ -182,72 +259,62 @@ def determinize(network: Network, *, max_states: int = 65536) -> DFA:
     A network whose reachable-subset count is *exactly* ``max_states``
     succeeds — the same boundary semantics as the budgeted explorer in
     :mod:`repro.cost.explore`, pinned by the boundary regression tests in
-    ``tests/test_dfa_backend.py``.
+    ``tests/test_dfa_backend.py``.  DFA states are numbered in discovery
+    order of a depth-first walk that expands classes in index order.
     """
     if max_states < 1:
         # Mirror the explorer's budget validation: the initial subset always
         # exists, so max_states=0 could never honor its own contract.
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    class_of, n_classes = alphabet_classes(network)
-    representative = class_representatives(class_of, n_classes)
-    tables = flatten_network(network)
-    symbol_sets = tables.symbol_sets
-    successors = tables.successors
-    reporting = tables.reporting
-    eod = tables.eod
-    always_frozen = tables.always
-    initial = tables.initial
+    core = subset_core(network)
+    n_classes = core.n_classes
+    step = core.step
+    start_steps = core.start_steps()
+    moving = ~core.always_mask
+    report_mask = core.report_mask
 
-    index_of: Dict[FrozenSet[int], int] = {initial: 0}
-    worklist: List[FrozenSet[int]] = [initial]
-    transition_rows: List[List[int]] = []
-    report_rows: List[List[Tuple[int, ...]]] = []
-    report_mid_rows: List[List[Tuple[int, ...]]] = []
+    index_of: Dict[int, int] = {core.initial_mask: 0}
+    worklist: List[int] = [core.initial_mask]
+    transition_rows: List[List[int]] = [[]]
+    report_rows: List[List[Tuple[int, ...]]] = [[]]
+    report_mid_rows: List[List[Tuple[int, ...]]] = [[]]
 
     while worklist:
         current = worklist.pop()
         row = [0] * n_classes
         reps_row: List[Tuple[int, ...]] = [()] * n_classes
         reps_mid_row: List[Tuple[int, ...]] = [()] * n_classes
-        for cls in range(n_classes):
-            symbol = int(representative[cls])
-            activated = [gid for gid in current if symbol_sets[gid].matches(symbol)]
-            fired = tuple(sorted(gid for gid in activated if reporting[gid]))
-            nxt = set(always_frozen)
-            for gid in activated:
-                nxt.update(successors[gid])
-            target = frozenset(nxt)
-            if target not in index_of:
+        for cls, accept in enumerate(core.accept_masks):
+            activated = current & accept
+            target = step(activated & moving) | start_steps[cls]
+            index = index_of.get(target)
+            if index is None:
                 if len(index_of) >= max_states:
                     raise DeterminizeError(
                         f"subset construction exceeded {max_states} states"
                     )
-                index_of[target] = len(index_of)
+                index = index_of[target] = len(index_of)
                 worklist.append(target)
-            row[cls] = index_of[target]
-            reps_row[cls] = fired
-            reps_mid_row[cls] = tuple(gid for gid in fired if not eod[gid])
-        while len(transition_rows) <= index_of[current]:
-            transition_rows.append([])
-            report_rows.append([])
-            report_mid_rows.append([])
-        transition_rows[index_of[current]] = row
-        report_rows[index_of[current]] = reps_row
-        report_mid_rows[index_of[current]] = reps_mid_row
+                transition_rows.append([])
+                report_rows.append([])
+                report_mid_rows.append([])
+            row[cls] = index
+            if activated & report_mask:
+                reps_row[cls], reps_mid_row[cls] = core.reports(activated)
+        index = index_of[current]
+        transition_rows[index] = row
+        report_rows[index] = reps_row
+        report_mid_rows[index] = reps_mid_row
 
     n_states = len(index_of)
-    transitions = np.zeros((n_states, n_classes), dtype=np.int64)
-    for state_index, row in enumerate(transition_rows):
-        transitions[state_index, :] = row
-    subsets: List[FrozenSet[int]] = [frozenset()] * n_states
-    for subset, state_index in index_of.items():
-        subsets[state_index] = subset
     return DFA(
         n_states=n_states,
         initial=0,
-        class_of_symbol=class_of,
-        transitions=transitions,
+        class_of_symbol=core.class_of,
+        transitions=np.array(transition_rows, dtype=np.int64).reshape(
+            n_states, n_classes
+        ),
         reports=report_rows,
         reports_mid=report_mid_rows,
-        subsets=tuple(subsets),
+        subsets=tuple(frozenset(_mask_bits(subset)) for subset in index_of),
     )

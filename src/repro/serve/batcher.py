@@ -38,7 +38,7 @@ import concurrent.futures
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..sim.result import SimResult
 from ..stats.recorder import StageTimer
@@ -73,8 +73,8 @@ class BatchedResult:
 
     result: SimResult
     batch_size: int
-    queue_seconds: float
-    exec_seconds: float
+    queue_seconds: float  # enqueue until an executor thread starts the batch
+    exec_seconds: float  # the batch's run in that thread
 
 
 @dataclass
@@ -221,14 +221,24 @@ class MicroBatcher:
 
     async def _execute(self, name: str, batch: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
-        began = time.monotonic()
         streams = [pending.symbols for pending in batch]
         entry = batch[0].entry
+
+        def run_batch() -> Tuple[float, float, List[SimResult]]:
+            # Timed inside the executor thread: the wait for a free thread
+            # is queueing, not execution.
+            began = time.monotonic()
+            try:
+                results = entry.execute_batch(streams)
+            finally:
+                ended = time.monotonic()
+                self.timer.record("execute", ended - began)
+            return began, ended, results
+
         try:
-            with self.timer.stage("execute"):
-                results = await loop.run_in_executor(
-                    self._executor, entry.execute_batch, streams
-                )
+            began, ended, results = await loop.run_in_executor(
+                self._executor, run_batch
+            )
         except Exception as exc:
             for pending in batch:
                 if not pending.future.done():
@@ -238,7 +248,6 @@ class MicroBatcher:
                     ))
             return
         finally:
-            ended = time.monotonic()
             self._in_flight[name] = False
             self.batches_dispatched += 1
             self.batched_requests += len(batch)

@@ -7,8 +7,8 @@ For partitions the budgeted explorer (:mod:`repro.cost.explore`) proves
 DFA-safe, neither cost is necessary: subset construction collapses every
 enabled set into a single integer state, and execution becomes one dense
 table lookup per symbol — the CPU-DFA regime of the paper's §VIII related
-work, with CAMA-style symbol-class column compression riding on
-:func:`repro.nfa.determinize.alphabet_classes`.
+work, with CAMA-style symbol-class column compression riding on the
+classes of :class:`repro.nfa.determinize.SubsetCore`.
 
 :func:`compile_dfa` materializes :func:`~repro.nfa.determinize.determinize`
 output into a dense ``(n_dfa_states, n_classes)`` transition table (uint16
@@ -40,22 +40,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import bitops
 from ..nfa.automaton import Network
+from ..nfa.determinize import DFA, DeterminizeError, determinize
 from ..nfa.symbolset import ALPHABET_SIZE
 from .engine import as_input_array
 from .result import SimResult, reports_to_array
-
-# ``repro.nfa.determinize`` itself imports ``repro.sim.result``, which
-# executes this package's __init__ (and therefore this module) while
-# determinize is still half-built — so the determinize import must stay
-# function-local (compile_dfa) / type-only here.
-if TYPE_CHECKING:
-    from ..nfa.determinize import DFA
 
 __all__ = [
     "CompiledDFA",
@@ -201,8 +195,6 @@ def compile_dfa(
     single feasibility surface regardless of *why* the DFA is off the
     table.
     """
-    from ..nfa.determinize import DeterminizeError, determinize
-
     state_budget, byte_budget = _default_budgets(budget, table_budget)
     try:
         dfa = determinize(network, max_states=state_budget)

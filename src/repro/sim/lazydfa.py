@@ -8,10 +8,10 @@ tiny even when the *reachable* space explodes (the DFA-vs-NFA tradeoff
 literature in PAPERS.md), so this module executes the subset construction
 *lazily*: an LRU-capped cache maps each subset actually reached during
 execution to a per-symbol-class row of ``(successor, report tuples)``
-cells, materialized on first use from the same
-:class:`~repro.nfa.determinize.NetworkTables` substrate ``determinize``
-walks — one cache entry per (subset, class) pair ever exercised, never the
-full reachable table.
+cells, materialized on first use by the same
+:class:`~repro.nfa.determinize.SubsetCore` step ``determinize`` walks —
+one cache entry per (subset, class) pair ever exercised, never the full
+reachable table.
 
 Execution (DESIGN.md §14):
 
@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..nfa.automaton import Network
+from ..nfa.determinize import SubsetCore, subset_core
 from .engine import as_input_array
 from .result import SimResult, reports_to_array
 
@@ -102,23 +103,12 @@ class _Row:
         self.live = True
 
 
-def _bits(mask: int) -> List[int]:
-    """Indices of set bits, ascending (global state ids of a subset key)."""
-    out: List[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class CompiledLazyDfa:
-    """Lazy-DFA execution artifact: flattened masks plus the subset cache.
+    """Lazy-DFA execution artifact: the subset core plus the subset cache.
 
-    Holds the network flattened to big-int masks (per-class accept masks,
-    per-state successor masks, always/initial/report masks — the
-    determinization view of :func:`repro.nfa.determinize.flatten_network`)
-    and the LRU subset cache that persists across runs, so repeated inputs
+    Holds the network's :class:`~repro.nfa.determinize.SubsetCore` (the
+    big-int accept, successor, start and report masks) and the LRU subset
+    cache that persists across runs, so repeated inputs
     over the same artifact execute mostly at table speed.  Lifetime cache
     counters are exposed via :meth:`cache_stats`; :meth:`clear_cache`
     resets both the cache and those counters.
@@ -126,16 +116,8 @@ class CompiledLazyDfa:
 
     def __init__(
         self,
+        core: SubsetCore,
         *,
-        n_states: int,
-        n_classes: int,
-        class_of_symbol: np.ndarray,
-        class_accept: List[int],
-        succ_masks: List[int],
-        always_mask: int,
-        initial_mask: int,
-        report_mask: int,
-        mid_report_mask: int,
         capacity: int = DEFAULT_LAZY_CAPACITY,
         churn_factor: float = DEFAULT_CHURN_FACTOR,
     ) -> None:
@@ -145,16 +127,11 @@ class CompiledLazyDfa:
             raise ValueError(
                 f"lazy-DFA churn factor must be > 0, got {churn_factor}"
             )
-        self.n_states = n_states
-        self.n_words = (max(n_states, 1) + 63) // 64
-        self.n_classes = n_classes
-        self.class_of_symbol = class_of_symbol
-        self.class_accept = class_accept
-        self.succ_masks = succ_masks
-        self.always_mask = always_mask
-        self.initial_mask = initial_mask
-        self.report_mask = report_mask
-        self.mid_report_mask = mid_report_mask
+        self.core = core
+        self.n_states = core.n_states
+        self.n_words = (max(core.n_states, 1) + 63) // 64
+        self.n_classes = core.n_classes
+        self.class_of_symbol = core.class_of
         self.capacity = capacity
         self.churn_factor = churn_factor
         # OrderedDict semantics via plain dict: Python dicts preserve
@@ -221,22 +198,14 @@ class CompiledLazyDfa:
             self.fallback_steps = 0
 
     def _step(self, mask: int, cls: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        """One subset-construction transition from ``mask`` on class ``cls``.
-
-        Semantically one :func:`repro.sim.engine.run` cycle: AND with the
-        class accept mask, report from the activated states, OR successor
-        masks, re-enable the always-start states.
-        """
-        activated = mask & self.class_accept[cls]
-        fired = tuple(_bits(activated & self.report_mask))
-        fired_mid = tuple(_bits(activated & self.mid_report_mask))
-        nxt = self.always_mask
-        succ_masks = self.succ_masks
-        while activated:
-            low = activated & -activated
-            nxt |= succ_masks[low.bit_length() - 1]
-            activated ^= low
-        return nxt, fired_mid, fired
+        """One subset-construction transition from ``mask`` on class ``cls``
+        through the shared :class:`~repro.nfa.determinize.SubsetCore`:
+        ``(successor, fired_mid, fired)``.  Semantically one
+        :func:`repro.sim.engine.run` cycle."""
+        core = self.core
+        activated = mask & core.accept_masks[cls]
+        fired, fired_mid = core.reports(activated)
+        return core.step(activated), fired_mid, fired
 
 
 def compile_lazydfa(
@@ -245,67 +214,15 @@ def compile_lazydfa(
     capacity: int = DEFAULT_LAZY_CAPACITY,
     churn_factor: float = DEFAULT_CHURN_FACTOR,
 ) -> CompiledLazyDfa:
-    """Flatten ``network`` into the lazy-DFA masks; no subset construction
-    runs here — the cache fills during execution.
+    """Build ``network``'s subset core; no subset construction runs here —
+    the cache fills during execution.
 
     Unlike :func:`repro.sim.dfa.compile_dfa` there is no feasibility gate:
     the cache is bounded by ``capacity`` regardless of how large the
     reachable subset space is, which is the whole point of the hybrid.
     """
-    # repro.nfa.determinize imports repro.sim.result, so the import must
-    # stay function-local here (same cycle dance as repro.sim.dfa).
-    from ..nfa.determinize import (
-        alphabet_classes,
-        class_representatives,
-        flatten_network,
-    )
-
-    tables = flatten_network(network)
-    class_of, n_classes = alphabet_classes(network)
-    representative = class_representatives(class_of, n_classes)
-    n = tables.n_states
-
-    succ_masks: List[int] = []
-    for gid in range(n):
-        mask = 0
-        for successor in tables.successors[gid]:
-            mask |= 1 << successor
-        succ_masks.append(mask)
-
-    class_accept = [0] * n_classes
-    for gid, symbol_set in enumerate(tables.symbol_sets):
-        bit = 1 << gid
-        for cls in range(n_classes):
-            if symbol_set.matches(int(representative[cls])):
-                class_accept[cls] |= bit
-
-    report_mask = 0
-    mid_report_mask = 0
-    for gid in range(n):
-        if tables.reporting[gid]:
-            report_mask |= 1 << gid
-            if not tables.eod[gid]:
-                mid_report_mask |= 1 << gid
-
-    always_mask = 0
-    for gid in tables.always:
-        always_mask |= 1 << gid
-    initial_mask = 0
-    for gid in tables.initial:
-        initial_mask |= 1 << gid
-
     return CompiledLazyDfa(
-        n_states=n,
-        n_classes=n_classes,
-        class_of_symbol=class_of,
-        class_accept=class_accept,
-        succ_masks=succ_masks,
-        always_mask=always_mask,
-        initial_mask=initial_mask,
-        report_mask=report_mask,
-        mid_report_mask=mid_report_mask,
-        capacity=capacity,
-        churn_factor=churn_factor,
+        subset_core(network), capacity=capacity, churn_factor=churn_factor
     )
 
 
@@ -366,7 +283,7 @@ def lazydfa_run(
                     caching = False
             return made
 
-        cur = compiled.initial_mask
+        cur = compiled.core.initial_mask
         row = lookup(cur)
         last = n - 1
         for position in range(n):

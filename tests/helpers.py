@@ -1,14 +1,18 @@
-"""Shared test utilities: random network generation and hypothesis strategies."""
+"""Shared test utilities: random network generation, hypothesis strategies,
+and loop-based references for subset construction."""
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.nfa.automaton import Automaton, Network, StartKind
-from repro.nfa.symbolset import SymbolSet
+from repro.nfa.determinize import DFA, DeterminizeError, flatten_network
+from repro.nfa.symbolset import ALPHABET_SIZE, SymbolSet
+from repro.sim.dfa import compile_determinized, dfa_run
 
 #: A small alphabet keeps random inputs likely to hit transitions.
 SMALL_ALPHABET = b"abcd"
@@ -92,3 +96,94 @@ def random_input(rng: random.Random, length: int, alphabet: bytes = SMALL_ALPHAB
 #: which shrinks better than composite object strategies for graph-shaped data.
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 input_lengths = st.integers(min_value=0, max_value=40)
+
+
+def dfa_reports(network: Network, dfa: DFA, data: bytes) -> np.ndarray:
+    """Reports of ``dfa`` (determinized from ``network``) on ``data``,
+    through the table-driven engine."""
+    return dfa_run(compile_determinized(network, dfa), data).reports
+
+
+# -- loop references for repro.nfa.determinize ---------------------------------
+#
+# Subset construction as it was written before the big-int core: per-symbol
+# signatures and per-member ``SymbolSet.matches`` calls.  Slow, but each step
+# reads straight off the definitions, so the core is property-tested against
+# them (tests/test_nfa_equivalence.py).
+
+
+def reference_alphabet_classes(network: Network) -> Tuple[np.ndarray, int]:
+    """``(class_of, n_classes)``: bytes share a class exactly when no
+    symbol-set in the network distinguishes them; classes are numbered by
+    their first byte."""
+    classes: Dict[Tuple[bool, ...], int] = {}
+    class_of = np.zeros(ALPHABET_SIZE, dtype=np.int64)
+    distinct = {state.symbol_set for _g, _a, state in network.global_states()}
+    ordered = sorted(distinct, key=lambda symbol_set: symbol_set.mask)
+    for symbol in range(ALPHABET_SIZE):
+        signature = tuple(symbol_set.matches(symbol) for symbol_set in ordered)
+        if signature not in classes:
+            classes[signature] = len(classes)
+        class_of[symbol] = classes[signature]
+    return class_of, len(classes)
+
+
+def class_representatives(class_of: np.ndarray, n_classes: int) -> np.ndarray:
+    """One representative symbol per class (the smallest member)."""
+    representative = np.zeros(n_classes, dtype=np.int64)
+    for symbol in range(ALPHABET_SIZE - 1, -1, -1):
+        representative[int(class_of[symbol])] = symbol
+    return representative
+
+
+def reference_determinize(network: Network, *, max_states: int = 65536) -> DFA:
+    """Depth-first subset construction over frozensets of global states."""
+    class_of, n_classes = reference_alphabet_classes(network)
+    representative = class_representatives(class_of, n_classes)
+    tables = flatten_network(network)
+
+    index_of: Dict[FrozenSet[int], int] = {tables.initial: 0}
+    worklist: List[FrozenSet[int]] = [tables.initial]
+    rows: Dict[int, Tuple[List[int], list, list]] = {}
+    while worklist:
+        current = worklist.pop()
+        row = [0] * n_classes
+        reps_row: List[Tuple[int, ...]] = [()] * n_classes
+        reps_mid_row: List[Tuple[int, ...]] = [()] * n_classes
+        for cls in range(n_classes):
+            symbol = int(representative[cls])
+            activated = [
+                gid for gid in current if tables.symbol_sets[gid].matches(symbol)
+            ]
+            fired = tuple(sorted(gid for gid in activated if tables.reporting[gid]))
+            nxt = set(tables.always)
+            for gid in activated:
+                nxt.update(tables.successors[gid])
+            target = frozenset(nxt)
+            if target not in index_of:
+                if len(index_of) >= max_states:
+                    raise DeterminizeError(
+                        f"subset construction exceeded {max_states} states"
+                    )
+                index_of[target] = len(index_of)
+                worklist.append(target)
+            row[cls] = index_of[target]
+            reps_row[cls] = fired
+            reps_mid_row[cls] = tuple(gid for gid in fired if not tables.eod[gid])
+        rows[index_of[current]] = (row, reps_row, reps_mid_row)
+
+    n_states = len(index_of)
+    subsets: List[FrozenSet[int]] = [frozenset()] * n_states
+    for subset, state_index in index_of.items():
+        subsets[state_index] = subset
+    return DFA(
+        n_states=n_states,
+        initial=0,
+        class_of_symbol=class_of,
+        transitions=np.array(
+            [rows[index][0] for index in range(n_states)], dtype=np.int64
+        ).reshape(n_states, n_classes),
+        reports=[rows[index][1] for index in range(n_states)],
+        reports_mid=[rows[index][2] for index in range(n_states)],
+        subsets=tuple(subsets),
+    )

@@ -41,7 +41,7 @@ from repro.sim.result import reports_equal
 from repro.verify.diagnostics import VerificationReport
 from repro.workloads.registry import app_names
 
-from helpers import random_automaton, random_input, seeds
+from helpers import dfa_reports, random_automaton, random_input, seeds
 
 _CONFIG = ExperimentConfig(scale=64, input_len=512)
 
@@ -122,7 +122,7 @@ class TestExplorer:
             return
         dfa = determinize(network, max_states=512)
         data = random_input(rng, rng.randint(0, 30))
-        assert reports_equal(dfa.run(data), reference_run(network, data).reports)
+        assert reports_equal(dfa_reports(network, dfa, data), reference_run(network, data).reports)
 
 
 class TestClassAnalysis:

@@ -33,12 +33,7 @@ from repro.cost.model import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.pipeline import get_run
 from repro.nfa.automaton import Automaton, Network, StartKind
-from repro.nfa.determinize import (
-    DeterminizeError,
-    class_representatives,
-    determinize,
-    flatten_network,
-)
+from repro.nfa.determinize import DeterminizeError, determinize, flatten_network
 from repro.nfa.symbolset import ALPHABET_SIZE, SymbolSet
 from repro.sim import (
     ENGINES,
@@ -57,7 +52,13 @@ from repro.sim import (
 from repro.sim.dfa import compile_determinized
 from repro.workloads.registry import app_names
 
-from helpers import input_lengths, random_input, random_network, seeds
+from helpers import (
+    class_representatives,
+    input_lengths,
+    random_input,
+    random_network,
+    seeds,
+)
 
 _CONFIG = ExperimentConfig(scale=64, input_len=512)
 

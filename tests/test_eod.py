@@ -22,7 +22,7 @@ from repro.sim import compile_network, reference_run, run, run_events
 from repro.sim.matrix import matrix_compile, matrix_run
 from repro.sim.result import reports_equal
 
-from helpers import random_input
+from helpers import dfa_reports, random_input
 
 
 def _eod_net(pattern=b"ab"):
@@ -56,7 +56,7 @@ class TestEngineSemantics:
             dfa = determinize(network)
             assert reports_equal(fast.reports, ref.reports)
             assert reports_equal(fast.reports, matrix.reports)
-            assert reports_equal(fast.reports, dfa.run(data))
+            assert reports_equal(fast.reports, dfa_reports(network, dfa, data))
 
     def test_run_events_respects_eod(self):
         network = _eod_net(b"ab")

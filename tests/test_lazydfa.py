@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.nfa.automaton import Automaton, Network, StartKind
+from repro.nfa.determinize import subset_core
 from repro.nfa.symbolset import SymbolSet
 from repro.sim import (
     ENGINES,
@@ -191,15 +192,4 @@ class TestEngineMetadata:
 
     def test_artifact_direct_construction_validates(self):
         with pytest.raises(ValueError):
-            CompiledLazyDfa(
-                n_states=1,
-                n_classes=1,
-                class_of_symbol=None,
-                class_accept=[0],
-                succ_masks=[0],
-                always_mask=0,
-                initial_mask=0,
-                report_mask=0,
-                mid_report_mask=0,
-                capacity=0,
-            )
+            CompiledLazyDfa(subset_core(_network()), capacity=0)

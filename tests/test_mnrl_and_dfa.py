@@ -15,7 +15,7 @@ from repro.nfa.regex import compile_regex
 from repro.sim import compile_network, run
 from repro.sim.result import reports_equal
 
-from helpers import random_input, random_network, seeds
+from helpers import dfa_reports, random_input, random_network, seeds
 
 
 def _net(*patterns, start=StartKind.ALL_INPUT):
@@ -95,7 +95,7 @@ class TestDeterminize:
     def test_single_chain(self):
         network = _net(b"abc")
         dfa = determinize(network)
-        assert dfa.run(b"xxabcxabc").tolist() == [[4, 2], [8, 2]]
+        assert dfa_reports(network, dfa, b"xxabcxabc").tolist() == [[4, 2], [8, 2]]
 
     def test_matches_nfa_on_regex(self):
         network = Network("n")
@@ -103,12 +103,12 @@ class TestDeterminize:
         dfa = determinize(network)
         data = b"abcfacdcdfzzabcdf"
         nfa_result = run(compile_network(network), data)
-        assert reports_equal(dfa.run(data), nfa_result.reports)
+        assert reports_equal(dfa_reports(network, dfa, data), nfa_result.reports)
 
     def test_start_of_data(self):
         network = _net(b"ab", start=StartKind.START_OF_DATA)
         dfa = determinize(network)
-        assert dfa.run(b"abab").tolist() == [[1, 1]]
+        assert dfa_reports(network, dfa, b"abab").tolist() == [[1, 1]]
 
     def test_alphabet_compression(self):
         network = _net(b"ab")
@@ -131,7 +131,7 @@ class TestDeterminize:
         data = random_input(rng, rng.randint(0, 30))
         dfa = determinize(network, max_states=20000)
         nfa_result = run(compile_network(network), data)
-        assert reports_equal(dfa.run(data), nfa_result.reports)
+        assert reports_equal(dfa_reports(network, dfa, data), nfa_result.reports)
 
     def test_dfa_blowup_vs_nfa_size(self):
         """The classic motivation: DFAs can dwarf the NFA they encode."""

@@ -11,23 +11,35 @@ the bit-parallel engine (which has its own equivalence suite).
 import random
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cost.explore import explore_subset_construction
 from repro.nfa.automaton import Network, StartKind
 from repro.nfa.build import literal_chain
 from repro.nfa.determinize import (
     DeterminizeError,
-    alphabet_classes,
-    class_representatives,
     determinize,
     flatten_network,
+    subset_core,
 )
+from repro.nfa.symbolset import SymbolSet
 from repro.nfa.transforms import duplicate_network, merge_common_prefixes
 from repro.sim.reference import reference_run
 from repro.sim.result import reports_equal
+from repro.workloads.registry import get_app
 
-from helpers import random_automaton, random_input, seeds
+from helpers import (
+    class_representatives,
+    dfa_reports,
+    random_automaton,
+    random_input,
+    random_network,
+    reference_alphabet_classes,
+    reference_determinize,
+    seeds,
+)
 
 #: Subset construction is exponential in the worst case; random cyclic
 #: networks are kept small enough that blowup past this cap is rare, and
@@ -66,7 +78,7 @@ class TestDeterminizeVsReference:
         except DeterminizeError:
             assume(False)  # pathological blowup: discard, don't fail
         expected = reference_run(network, data)
-        assert reports_equal(dfa.run(data), expected.reports)
+        assert reports_equal(dfa_reports(network, dfa, data), expected.reports)
 
     @settings(max_examples=30, deadline=None)
     @given(seeds)
@@ -76,24 +88,25 @@ class TestDeterminizeVsReference:
         data = random_input(rng, rng.randint(0, 20))
         dfa = determinize(network, max_states=_DFA_STATE_CAP)
         expected = reference_run(network, data)
-        assert reports_equal(dfa.run(data), expected.reports)
+        assert reports_equal(dfa_reports(network, dfa, data), expected.reports)
 
     def test_empty_input(self):
         network = _patterns_net(b"ab")
         dfa = determinize(network)
-        assert reports_equal(dfa.run(b""), reference_run(network, b"").reports)
+        assert reports_equal(dfa_reports(network, dfa, b""), reference_run(network, b"").reports)
 
 
 class TestDeterminizeHelpers:
-    """The flattened tables and alphabet classes ``determinize`` and the
-    budgeted explorer (``repro.cost.explore``) now share."""
+    """The subset core ``determinize``, the budgeted explorer
+    (``repro.cost.explore``) and the lazy DFA share."""
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_alphabet_classes_are_a_partition(self, seed):
         rng = random.Random(seed)
         network = _small_network(rng)
-        class_of, n_classes = alphabet_classes(network)
+        core = subset_core(network)
+        class_of, n_classes = core.class_of, core.n_classes
         assert class_of.shape == (256,)
         assert sorted(set(int(c) for c in class_of)) == list(range(n_classes))
         representative = class_representatives(class_of, n_classes)
@@ -106,7 +119,8 @@ class TestDeterminizeHelpers:
         """No symbol-set in the network separates two symbols of one class."""
         rng = random.Random(seed)
         network = _small_network(rng)
-        class_of, n_classes = alphabet_classes(network)
+        core = subset_core(network)
+        class_of, n_classes = core.class_of, core.n_classes
         tables = flatten_network(network)
         representative = class_representatives(class_of, n_classes)
         for symbol in range(0, 256, 7):  # a sample is plenty
@@ -131,6 +145,89 @@ class TestDeterminizeHelpers:
         else:
             assert outcome.dfa_safe
             assert dfa.n_states == outcome.n_subset_states
+
+
+def _full_alphabet_network(rng: random.Random) -> Network:
+    """A random network whose symbol sets are random ranges and masks over
+    all 256 bytes, so the byte classes are many and irregular."""
+    network = random_network(rng)
+    for _gid, _automaton, state in network.global_states():
+        if rng.random() < 0.5:
+            low = rng.randrange(256)
+            state.symbol_set = SymbolSet.from_ranges((low, rng.randint(low, 255)))
+        else:
+            state.symbol_set = SymbolSet(rng.getrandbits(256))
+    return network
+
+
+def _assert_core_matches_loop_reference(network: Network) -> None:
+    """The core's classes and accept masks equal the signature-loop ones."""
+    core = subset_core(network)
+    class_of, n_classes = reference_alphabet_classes(network)
+    np.testing.assert_array_equal(core.class_of, class_of)
+    assert core.n_classes == n_classes
+    tables = flatten_network(network)
+    for cls, symbol in enumerate(class_representatives(class_of, n_classes)):
+        expected = 0
+        for gid, symbol_set in enumerate(tables.symbol_sets):
+            if symbol_set.matches(int(symbol)):
+                expected |= 1 << gid
+        assert core.accept_masks[cls] == expected
+
+
+def _assert_same_dfa(network: Network, budget: int) -> None:
+    """``determinize`` builds the loop reference's DFA, or both raise."""
+    try:
+        expected = reference_determinize(network, max_states=budget)
+    except DeterminizeError:
+        with pytest.raises(DeterminizeError):
+            determinize(network, max_states=budget)
+        return
+    dfa = determinize(network, max_states=budget)
+    assert dfa.n_states == expected.n_states
+    np.testing.assert_array_equal(dfa.class_of_symbol, expected.class_of_symbol)
+    np.testing.assert_array_equal(dfa.transitions, expected.transitions)
+    assert dfa.reports == expected.reports
+    assert dfa.reports_mid == expected.reports_mid
+    assert dfa.subsets == expected.subsets
+
+
+class TestSubsetCoreMatchesLoopReference:
+    """The big-int subset core against the frozenset / ``SymbolSet.matches``
+    loops it replaced (kept in ``helpers``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_classes_and_accept_masks(self, seed):
+        rng = random.Random(seed)
+        _assert_core_matches_loop_reference(random_network(rng))
+        _assert_core_matches_loop_reference(_full_alphabet_network(rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.integers(min_value=1, max_value=600))
+    def test_determinize_and_budget(self, seed, budget):
+        """Same DFA at a random budget, and the same boundary: the exact
+        state count is admitted and one state less raises in both."""
+        rng = random.Random(seed)
+        network = random_network(rng)
+        _assert_same_dfa(network, budget)
+        try:
+            exact = determinize(network, max_states=budget).n_states
+        except DeterminizeError:
+            return
+        _assert_same_dfa(network, exact)
+        if exact > 1:
+            _assert_same_dfa(network, exact - 1)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seeds)
+    def test_full_alphabet_determinize(self, seed):
+        _assert_same_dfa(_full_alphabet_network(random.Random(seed)), 400)
+
+    def test_bro217_at_release_scale(self):
+        network = get_app("Bro217").build(16)
+        _assert_core_matches_loop_reference(network)
+        _assert_same_dfa(network, 4096)
 
 
 class TestDuplicateVsReference:

@@ -6,9 +6,11 @@ toy networks keep this fast (no registry compile).
 """
 
 import asyncio
+import concurrent.futures
 import contextlib
 import random
 import struct
+import time
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.serve.server import MatchServer, ServerOptions
 from repro.serve.state import ServeState
 from repro.sim import run
 from repro.stats import validate_serve_stats
+from repro.stats.recorder import StageTimer
 
 
 def _chain_network(word: bytes = b"ab") -> Network:
@@ -219,6 +222,41 @@ class TestAdmissionControl:
                 await third
             assert info.value.code == ErrorCode.OVERLOADED
             await second  # its batch was already in flight when we drained
+
+        asyncio.run(scenario())
+
+
+class _SleepyEntry:
+    """A stand-in app entry whose batches take ``seconds`` to execute."""
+
+    def __init__(self, name: str, seconds: float) -> None:
+        self.name = name
+        self.seconds = seconds
+
+    def execute_batch(self, streams):
+        time.sleep(self.seconds)
+        return [None] * len(streams)
+
+
+class TestBatchTiming:
+    def test_wait_for_executor_thread_is_queueing(self):
+        """With one executor thread, app B's batch waits behind app A's:
+        that wait is B's queue time, and B's exec time is its own run."""
+        async def scenario():
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = MicroBatcher(BatchPolicy(), executor=pool,
+                                       timer=StageTimer(enabled=True))
+                first, second = await asyncio.gather(
+                    batcher.submit(_SleepyEntry("A", 0.3), b"a"),
+                    batcher.submit(_SleepyEntry("B", 0.02), b"b"),
+                )
+            assert first.exec_seconds >= 0.3
+            assert second.queue_seconds >= 0.25
+            assert second.exec_seconds < 0.2
+            spans = {span.name: span for span in batcher.timer.spans()}
+            assert spans["execute"].calls == 2
+            assert spans["execute"].seconds == pytest.approx(
+                first.exec_seconds + second.exec_seconds)
 
         asyncio.run(scenario())
 
