@@ -19,6 +19,11 @@ the union network once produces exactly the union of per-batch report
 streams; we exploit that for the baseline and BaseAP phases (the *cycle*
 accounting still charges one full input pass per batch).  SpAP batches are
 simulated individually since jump/stall behaviour is batch-local.
+
+SpAP and AP–CPU share the BaseAP phase: :func:`run_hot_phase` runs it once
+(on a lazy DFA of the hot network) into a :class:`HotPhase`, and
+:func:`base_spap_outcome` / :func:`ap_cpu_outcome` differ only in how they
+handle the cold side.
 """
 
 from __future__ import annotations
@@ -32,8 +37,10 @@ from ..ap.batching import batch_network, pack_batches, slice_network
 from ..ap.config import APConfig
 from ..nfa.analysis import NetworkTopology, analyze_network
 from ..nfa.automaton import Network
+from ..nfa.determinize import SubsetCore, subset_core
 from ..sim.compiled import compile_network
 from ..sim.engine import as_input_array, run, run_events
+from ..sim.lazydfa import CompiledLazyDfa, lazydfa_run
 from ..sim.result import reports_equal, reports_to_array
 from .cpu_model import CPUCostModel, DEFAULT_CPU_MODEL
 from .partition import PartitionedNetwork, partition_network, plan_hot_batches
@@ -41,9 +48,13 @@ from .profiling import profile_network
 
 __all__ = [
     "BaselineOutcome",
+    "HotPhase",
     "PartitionedOutcome",
+    "ap_cpu_outcome",
+    "base_spap_outcome",
     "run_baseline_ap",
     "prepare_partition",
+    "run_hot_phase",
     "run_base_spap",
     "run_ap_cpu",
 ]
@@ -151,39 +162,78 @@ def prepare_partition(
     return partitioned, bins
 
 
-def _hot_phase(
-    partitioned: PartitionedNetwork, symbols: np.ndarray, hot_bins: Sequence[Sequence[int]]
-):
-    """Run BaseAP mode once; split reports into final vs intermediate events.
+@dataclass(frozen=True)
+class HotPhase:
+    """BaseAP mode's run of the hot partition, shared by SpAP and AP–CPU.
 
-    Returns ``(base_cycles, final_reports_parent, events_cold, n_events)``
-    where events are ``(position, cold_gid)`` enable events.
+    ``final_reports`` are the hot side's own reports in parent-global ids;
+    ``events`` are the ``(position, cold_gid)`` enables its intermediate
+    reports raise for the cold side.
     """
-    hot_result = run(compile_network(partitioned.hot), symbols, track_enabled=False)
-    reports = hot_result.reports
-    if reports.size:
-        intermediate = partitioned.hot_is_intermediate[reports[:, 1]]
-        final = reports[~intermediate]
-        raw_events = reports[intermediate]
-    else:
-        final = reports
-        raw_events = reports
-    final_parent = final.copy()
-    if final_parent.size:
-        final_parent[:, 1] = partitioned.hot_to_parent[final[:, 1]]
 
-    # An intermediate state v' is a reporting copy of its cold target v, so
-    # v' activating at position c means v itself would have activated at c:
-    # SpAP enables v at c and re-matches input[c], reproducing the original
-    # activation (and hence v's successor enables at c+1) exactly.
-    events = raw_events.copy()
-    n_total_events = int(events.shape[0])
-    if events.size:
-        events[:, 1] = np.asarray(
-            [partitioned.translation[int(gid)] for gid in raw_events[:, 1]], dtype=np.int64
+    symbols: np.ndarray
+    n_hot_batches: int
+    final_reports: np.ndarray
+    events: np.ndarray
+
+    @property
+    def base_cycles(self) -> int:
+        return self.n_hot_batches * int(self.symbols.size)
+
+    @classmethod
+    def from_reports(
+        cls,
+        partitioned: PartitionedNetwork,
+        hot_reports: np.ndarray,
+        symbols: np.ndarray,
+        hot_bins: Sequence[Sequence[int]],
+    ) -> "HotPhase":
+        """Split the hot network's reports into final reports and events."""
+        if hot_reports.size:
+            intermediate = partitioned.hot_is_intermediate[hot_reports[:, 1]]
+            final = hot_reports[~intermediate]
+            raw_events = hot_reports[intermediate]
+        else:
+            final = raw_events = hot_reports
+        final_parent = final.copy()
+        if final_parent.size:
+            final_parent[:, 1] = partitioned.hot_to_parent[final[:, 1]]
+
+        # An intermediate state v' is a reporting copy of its cold target v,
+        # so v' activating at position c means v itself would have activated
+        # at c: SpAP enables v at c and re-matches input[c], reproducing the
+        # original activation (and hence v's successor enables at c+1) exactly.
+        events = raw_events.copy()
+        if events.size:
+            events[:, 1] = np.asarray(
+                [partitioned.translation[int(gid)] for gid in raw_events[:, 1]],
+                dtype=np.int64,
+            )
+        return cls(
+            symbols=symbols,
+            n_hot_batches=len(hot_bins),
+            final_reports=final_parent,
+            events=reports_to_array(events),
         )
-    base_cycles = len(hot_bins) * int(symbols.size)
-    return base_cycles, final_parent, reports_to_array(events), n_total_events
+
+
+def run_hot_phase(
+    partitioned: PartitionedNetwork,
+    input_data,
+    hot_bins: Sequence[Sequence[int]],
+    *,
+    core: Optional[SubsetCore] = None,
+) -> HotPhase:
+    """Run BaseAP mode once over the hot partition.
+
+    Only its reports matter, so the hot network runs on a fresh lazy DFA
+    (DESIGN.md §14): the small, shallow hot side visits few subsets.
+    ``core`` is the hot network's subset core when the caller holds it.
+    """
+    symbols = as_input_array(input_data)
+    lazy = CompiledLazyDfa(subset_core(partitioned.hot) if core is None else core)
+    reports = lazydfa_run(lazy, symbols).reports
+    return HotPhase.from_reports(partitioned, reports, symbols, hot_bins)
 
 
 def run_base_spap(
@@ -193,20 +243,25 @@ def run_base_spap(
     hot_bins: Sequence[Sequence[int]],
 ) -> PartitionedOutcome:
     """BaseAP mode on the hot set, then SpAP mode on the cold set (§V)."""
-    symbols = as_input_array(input_data)
-    base_cycles, final_parent, events, n_events = _hot_phase(partitioned, symbols, hot_bins)
+    return base_spap_outcome(
+        partitioned, run_hot_phase(partitioned, input_data, hot_bins), config
+    )
 
-    all_reports = [final_parent]
+
+def base_spap_outcome(
+    partitioned: PartitionedNetwork, hot: HotPhase, config: APConfig
+) -> PartitionedOutcome:
+    """SpAP mode on the cold set, driven by a finished hot phase."""
+    symbols = hot.symbols
+    all_reports = [hot.final_reports]
     consumed = 0
     stalls = 0
-    cold_bins: List[List[int]] = []
     executed_cold_batches = 0
     if partitioned.cold.n_states:
         sizes = [a.n_states for a in partitioned.cold.automata]
-        cold_bins = pack_batches(sizes, config.capacity)
-        for members in cold_bins:
+        for members in pack_batches(sizes, config.capacity):
             batch = slice_network(partitioned.cold, members)
-            batch_events = _events_for_batch(events, batch.global_ids)
+            batch_events = _events_for_batch(hot.events, batch.global_ids)
             if batch_events.size == 0:
                 # A cold batch with no pending intermediate reports (and no
                 # start states) can never enable anything; the host skips
@@ -226,15 +281,14 @@ def run_base_spap(
     return PartitionedOutcome(
         mode="spap",
         n_symbols=int(symbols.size),
-        n_hot_batches=len(hot_bins),
+        n_hot_batches=hot.n_hot_batches,
         n_cold_batches=executed_cold_batches,
-        base_cycles=base_cycles,
+        base_cycles=hot.base_cycles,
         spap_consumed_cycles=consumed,
         spap_stall_cycles=stalls,
         cpu_seconds=0.0,
-        n_intermediate_reports=n_events,
-        reports=reports_to_array(np.concatenate([r for r in all_reports if r.size > 0])
-                                 if any(r.size for r in all_reports) else []),
+        n_intermediate_reports=int(hot.events.shape[0]),
+        reports=_joined(all_reports),
     )
 
 
@@ -246,14 +300,23 @@ def run_ap_cpu(
     cpu_model: CPUCostModel = DEFAULT_CPU_MODEL,
 ) -> PartitionedOutcome:
     """BaseAP mode on the hot set; CPU software handler for the cold set."""
-    symbols = as_input_array(input_data)
-    base_cycles, final_parent, events, n_events = _hot_phase(partitioned, symbols, hot_bins)
+    return ap_cpu_outcome(
+        partitioned, run_hot_phase(partitioned, input_data, hot_bins), cpu_model
+    )
 
-    all_reports = [final_parent]
+
+def ap_cpu_outcome(
+    partitioned: PartitionedNetwork,
+    hot: HotPhase,
+    cpu_model: CPUCostModel = DEFAULT_CPU_MODEL,
+) -> PartitionedOutcome:
+    """The CPU software handler on the cold set, driven by a finished hot phase."""
+    n_events = int(hot.events.shape[0])
+    all_reports = [hot.final_reports]
     cpu_seconds = 0.0
-    if partitioned.cold.n_states and (events.size or False):
+    if partitioned.cold.n_states and n_events:
         outcome = run_events(
-            compile_network(partitioned.cold), symbols, events, count_stalls=False
+            compile_network(partitioned.cold), hot.symbols, hot.events, count_stalls=False
         )
         cpu_seconds = cpu_model.seconds(outcome.consumed_cycles, n_events)
         cold_reports = outcome.reports.copy()
@@ -263,17 +326,22 @@ def run_ap_cpu(
 
     return PartitionedOutcome(
         mode="cpu",
-        n_symbols=int(symbols.size),
-        n_hot_batches=len(hot_bins),
+        n_symbols=int(hot.symbols.size),
+        n_hot_batches=hot.n_hot_batches,
         n_cold_batches=0,
-        base_cycles=base_cycles,
+        base_cycles=hot.base_cycles,
         spap_consumed_cycles=0,
         spap_stall_cycles=0,
         cpu_seconds=cpu_seconds,
         n_intermediate_reports=n_events,
-        reports=reports_to_array(np.concatenate([r for r in all_reports if r.size > 0])
-                                 if any(r.size for r in all_reports) else []),
+        reports=_joined(all_reports),
     )
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """One report array from the hot side's and the cold batches' reports."""
+    nonempty = [part for part in parts if part.size]
+    return reports_to_array(np.concatenate(nonempty) if nonempty else [])
 
 
 def _events_for_batch(events: np.ndarray, batch_global_ids: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .advisory import (
     advise_network,
     check_advisory_soundness,
     emit_advisory_diagnostics,
-    partition_advisories,
 )
 from .app import CostOutcome, CostReport, analyze_run_cost, cost_app
 from .classes import ClassAnalysis, analyze_symbol_classes
@@ -54,6 +53,5 @@ __all__ = [
     "cost_app",
     "emit_advisory_diagnostics",
     "explore_subset_construction",
-    "partition_advisories",
     "rank_backends",
 ]

@@ -20,13 +20,13 @@ an argument into a CI-gated differential check (SPAP-C001).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..nfa.automaton import Network
-from ..nfa.determinize import DeterminizeError, determinize
-from ..semant.predict import predict_hot_cold
+from ..nfa.determinize import DeterminizeError, SubsetCore, determinize, subset_core
+from ..semant.predict import StaticPrediction, predict_hot_cold
 from ..sim.dfa import compile_determinized, dfa_run
 from ..sim.reference import reference_run
 from ..sim.result import reports_equal
@@ -48,7 +48,6 @@ __all__ = [
     "advise_network",
     "check_advisory_soundness",
     "emit_advisory_diagnostics",
-    "partition_advisories",
 ]
 
 #: Below this winner/runner-up cost ratio the advisory is a coin toss
@@ -123,7 +122,9 @@ def _mean_fanout(network: Network) -> float:
     return (network.n_edges / n) if n else 0.0
 
 
-def _static_hot_fraction(network: Network, horizon: int) -> float:
+def _static_hot_fraction(
+    network: Network, horizon: int, prediction: Optional[StaticPrediction]
+) -> float:
     """Profile-free predicted-active fraction (raw mask, not layer-closed).
 
     A partition with no start states (a cold partition: enabled only by
@@ -133,7 +134,8 @@ def _static_hot_fraction(network: Network, horizon: int) -> float:
     n = network.n_states
     if n == 0 or network.n_automata == 0:
         return 0.0
-    prediction = predict_hot_cold(network, horizon=horizon)
+    if prediction is None:
+        prediction = predict_hot_cold(network, horizon=horizon)
     return float(prediction.hot_mask.sum()) / n
 
 
@@ -146,11 +148,21 @@ def advise_network(
     horizon: int = 4096,
     model: CostModel = DEFAULT_COST_MODEL,
     n_streams: int = 8,
+    core: Optional[SubsetCore] = None,
+    prediction: Optional[StaticPrediction] = None,
 ) -> BackendAdvisory:
-    """Fuse the three static analyses into one advisory for ``network``."""
-    class_analysis = analyze_symbol_classes(network)
-    exploration = explore_subset_construction(network, budget=budget)
-    hot_fraction = _static_hot_fraction(network, horizon)
+    """Fuse the three static analyses into one advisory for ``network``.
+
+    ``core`` (``network``'s subset core) and ``prediction`` (its
+    profile-free hot/cold prediction at ``horizon``) are taken as given
+    when the caller already holds them; otherwise they are computed here.
+    The class count and the exploration share one core either way.
+    """
+    if core is None:
+        core = subset_core(network)
+    class_analysis = analyze_symbol_classes(network, core=core)
+    exploration = explore_subset_construction(network, budget=budget, core=core)
+    hot_fraction = _static_hot_fraction(network, horizon, prediction)
     features = CostFeatures(
         n_states=network.n_states,
         n_words=class_analysis.n_words,
@@ -288,24 +300,3 @@ def check_advisory_soundness(
                 location=where,
             )
 
-
-def partition_advisories(
-    partitions: List[Tuple[str, Network, bool]],
-    *,
-    budget: int = DEFAULT_DFA_BUDGET,
-    horizon: int = 4096,
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> List[BackendAdvisory]:
-    """Advise each named ``(name, network, event_driven)`` partition."""
-    return [
-        advise_network(
-            network,
-            partition=name,
-            budget=budget,
-            event_driven=event_driven,
-            horizon=horizon,
-            model=model,
-        )
-        for name, network, event_driven in partitions
-        if network.n_states > 0
-    ]

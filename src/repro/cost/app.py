@@ -21,9 +21,9 @@ from ..verify.diagnostics import VerificationReport
 from ..workloads.registry import get_app
 from .advisory import (
     BackendAdvisory,
+    advise_network,
     check_advisory_soundness,
     emit_advisory_diagnostics,
-    partition_advisories,
 )
 from .explore import DEFAULT_DFA_BUDGET
 from .model import CostModel, DEFAULT_COST_MODEL
@@ -111,21 +111,32 @@ def analyze_run_cost(
     """
     ap = run.config.half_core
     partitioned, _bins = run.partition(fraction, ap)
+    prediction = run.static_prediction()  # timed under its own stage
     horizon = run.config.input_len
-    subjects = [
-        ("network", run.network, False),
-        ("hot", partitioned.hot, False),
-        ("cold", partitioned.cold, True),
-    ]
+    networks = {"network": run.network, "hot": partitioned.hot, "cold": partitioned.cold}
     with run.stats.stage("cost"):
-        advisories = partition_advisories(
-            subjects, budget=budget, horizon=horizon, model=model
+        parent = advise_network(
+            run.network, budget=budget, horizon=horizon, model=model,
+            core=run.subset_core(run.network), prediction=prediction,
         )
+        if partitioned.cold.n_states:
+            sides = [
+                advise_network(
+                    networks[name], partition=name, budget=budget,
+                    event_driven=name == "cold", horizon=horizon, model=model,
+                    core=run.subset_core(networks[name]),
+                )
+                for name in ("hot", "cold")
+            ]
+        else:
+            # Nothing is cold: the hot network holds the parent's states in
+            # the parent's order, so the parent's advisory is also its own.
+            sides = [replace(parent, partition="hot")]
+        advisories = [parent, *sides]
         report = VerificationReport(subject=f"{run.spec.abbr} [cost]")
         for advisory in advisories:
             emit_advisory_diagnostics(advisory, report)
         if check:
-            networks = {name: network for name, network, _e in subjects}
             for advisory in advisories:
                 check_advisory_soundness(
                     networks[advisory.partition],

@@ -20,11 +20,11 @@ layout, before any dynamic effect is considered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from .. import bitops
 from ..nfa.automaton import Network
-from ..nfa.determinize import subset_core
+from ..nfa.determinize import SubsetCore, subset_core
 from ..nfa.symbolset import ALPHABET_SIZE
 
 __all__ = ["ClassAnalysis", "analyze_symbol_classes"]
@@ -59,8 +59,11 @@ class ClassAnalysis:
         }
 
 
-def analyze_symbol_classes(network: Network) -> ClassAnalysis:
-    """Compute the effective alphabet-class count and table sizes."""
+def analyze_symbol_classes(
+    network: Network, *, core: Optional[SubsetCore] = None
+) -> ClassAnalysis:
+    """Compute the effective alphabet-class count and table sizes
+    (``core``: ``network``'s subset core when the caller already holds it)."""
     n = network.n_states
     n_words = bitops.num_words(max(n, 1))
     if n == 0:
@@ -72,7 +75,7 @@ def analyze_symbol_classes(network: Network) -> ClassAnalysis:
             table_bytes_dense=ALPHABET_SIZE * n_words * 8,
             table_bytes_classed=1 * n_words * 8 + ALPHABET_SIZE,
         )
-    n_classes = subset_core(network).n_classes
+    n_classes = (subset_core(network) if core is None else core).n_classes
     distinct = {state.symbol_set for _g, _a, state in network.global_states()}
     return ClassAnalysis(
         n_states=n,

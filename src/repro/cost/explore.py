@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Deque, Optional, Set, Tuple
 
 from ..nfa.automaton import Network
-from ..nfa.determinize import subset_core
+from ..nfa.determinize import SubsetCore, subset_core
 
 __all__ = ["DEFAULT_DFA_BUDGET", "SubsetExploration", "explore_subset_construction"]
 
@@ -75,17 +75,22 @@ class SubsetExploration:
 
 
 def explore_subset_construction(
-    network: Network, *, budget: int = DEFAULT_DFA_BUDGET
+    network: Network,
+    *,
+    budget: int = DEFAULT_DFA_BUDGET,
+    core: Optional[SubsetCore] = None,
 ) -> SubsetExploration:
     """Walk the reachable subset states, counting, up to ``budget``.
 
     Breadth-first from the initial subset, so a burst budget reports the
     shallowest growth frontier.  Returns a :class:`SubsetExploration`;
-    never raises on blowup (that is the result, not an error).
+    never raises on blowup (that is the result, not an error).  ``core``
+    is ``network``'s subset core when the caller already holds it.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    core = subset_core(network)
+    if core is None:
+        core = subset_core(network)
     step = core.step
     moving = ~core.always_mask
     classes = [

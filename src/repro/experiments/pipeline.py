@@ -5,6 +5,10 @@ topology, the split input, ground-truth hot states on the test input,
 profiling runs at several fractions, partitions, and the three execution
 scenarios.  :class:`AppRun` computes each once and caches it, so a full
 multi-figure sweep touches each expensive stage exactly once per app.
+Stages share what they have in common, too: the baseline AP takes the
+truth run's reports, SpAP and AP–CPU share one hot phase, and each
+network's subset core serves its cost advisory, its DFA compiles and the
+hot phase.
 
 Each cache-miss computation runs under the run's :class:`StageTimer`
 (``repro.stats``), so any consumer can ask where the wall time of a
@@ -27,21 +31,24 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..ap.batching import batch_network
 from ..ap.config import APConfig
 from ..core.partition import PartitionedNetwork, partition_network, plan_hot_batches
 from ..core.profiling import choose_partition_layers, layer_closure_mask
 from ..core.scenarios import (
     BaselineOutcome,
+    HotPhase,
     PartitionedOutcome,
-    run_ap_cpu,
-    run_base_spap,
-    run_baseline_ap,
+    ap_cpu_outcome,
+    base_spap_outcome,
+    run_hot_phase,
 )
 from ..nfa.analysis import NetworkTopology, analyze_network
 from ..nfa.automaton import Network
+from ..nfa.determinize import SubsetCore, subset_core
 from ..semant.absint import SemanticFacts, analyze_network_semantics
 from ..semant.predict import StaticPrediction, predict_hot_cold
-from ..sim import Engine, FALLBACK_BACKEND, resolve_backend
+from ..sim import Engine, FALLBACK_BACKEND, get_engine, resolve_backend
 from ..sim.compiled import CompiledNetwork, compile_network
 from ..sim.dfa import CompiledDFA, compile_dfa
 from ..sim.lazydfa import CompiledLazyDfa, compile_lazydfa
@@ -70,6 +77,10 @@ class AppRun:
         self._semantics: Optional[SemanticFacts] = None
         self._static_predictions: Dict[int, StaticPrediction] = {}
         self._compiled: Optional[CompiledNetwork] = None
+        # One subset core per network this run advises or compiles (its own
+        # network and its partitions), keyed by identity; the entry holds
+        # the network so the id stays unique.
+        self._cores: Dict[int, Tuple[Network, SubsetCore]] = {}
         self._dfa: Optional[CompiledDFA] = None
         self._lazydfa: Optional[CompiledLazyDfa] = None
         self._entire_input: Optional[bytes] = None
@@ -77,6 +88,7 @@ class AppRun:
         self._profiles: Dict[float, SimResult] = {}
         self._partitions: Dict[Tuple[float, int], Tuple[PartitionedNetwork, list]] = {}
         self._baselines: Dict[int, BaselineOutcome] = {}
+        self._hot_phases: Dict[Tuple[float, int], HotPhase] = {}
         self._spap: Dict[Tuple[float, int], PartitionedOutcome] = {}
         self._ap_cpu: Dict[Tuple[float, int], PartitionedOutcome] = {}
         # repro.cost outcomes, keyed (fraction, budget); typed loosely to
@@ -140,6 +152,18 @@ class AppRun:
                         self._compiled = compile_network(network)
         return self._compiled
 
+    def subset_core(self, network: Network) -> SubsetCore:
+        """The one :class:`~repro.nfa.determinize.SubsetCore` of ``network``
+        (this run's network or one of its partitions), shared by the cost
+        advisories, the DFA and lazy-DFA compiles and the hot phase."""
+        entry = self._cores.get(id(network))
+        if entry is None:
+            with self._lock:
+                entry = self._cores.get(id(network))
+                if entry is None:
+                    entry = self._cores[id(network)] = (network, subset_core(network))
+        return entry[1]
+
     @property
     def compiled_dfa(self) -> CompiledDFA:
         """The materialized table-driven DFA (DESIGN.md §13).
@@ -154,7 +178,9 @@ class AppRun:
                 if self._dfa is None:
                     network = self.network
                     with self.stats.stage("compile_dfa"):
-                        self._dfa = compile_dfa(network)
+                        self._dfa = compile_dfa(
+                            network, core=self.subset_core(network)
+                        )
         return self._dfa
 
     @property
@@ -170,7 +196,7 @@ class AppRun:
                 if self._lazydfa is None:
                     network = self.network
                     with self.stats.stage("compile_lazydfa"):
-                        self._lazydfa = compile_lazydfa(network)
+                        self._lazydfa = CompiledLazyDfa(self.subset_core(network))
         return self._lazydfa
 
     @property
@@ -253,30 +279,48 @@ class AppRun:
         return self._partitions[key]
 
     def baseline(self, config: APConfig) -> BaselineOutcome:
+        """The baseline AP: the truth run's reports, one pass per batch."""
         if config.capacity not in self._baselines:
+            truth = self.truth  # timed under its own stage
             with self.stats.stage("baseline"):
-                self._baselines[config.capacity] = run_baseline_ap(
-                    self.network, self.test_input, config
+                self._baselines[config.capacity] = BaselineOutcome(
+                    n_batches=len(batch_network(self.network, config.capacity)),
+                    n_symbols=len(self.test_input),
+                    reports=truth.reports,
                 )
         return self._baselines[config.capacity]
+
+    def hot_phase(self, fraction: float, config: APConfig) -> HotPhase:
+        """BaseAP mode on the hot partition, shared by SpAP and AP–CPU."""
+        key = (fraction, config.capacity)
+        if key not in self._hot_phases:
+            partitioned, bins = self.partition(fraction, config)
+            # Nothing cold: the hot network holds this run's states in this
+            # run's order, so the two share one core.
+            network = partitioned.hot if partitioned.cold.n_states else self.network
+            with self.stats.stage("hot_phase"):
+                self._hot_phases[key] = run_hot_phase(
+                    partitioned, self.test_input, bins, core=self.subset_core(network)
+                )
+        return self._hot_phases[key]
 
     def base_spap(self, fraction: float, config: APConfig) -> PartitionedOutcome:
         key = (fraction, config.capacity)
         if key not in self._spap:
-            partitioned, bins = self.partition(fraction, config)
+            partitioned, _bins = self.partition(fraction, config)
+            hot = self.hot_phase(fraction, config)
             with self.stats.stage("base_spap"):
-                self._spap[key] = run_base_spap(
-                    partitioned, self.test_input, config, bins
-                )
+                self._spap[key] = base_spap_outcome(partitioned, hot, config)
         return self._spap[key]
 
     def ap_cpu(self, fraction: float, config: APConfig) -> PartitionedOutcome:
         key = (fraction, config.capacity)
         if key not in self._ap_cpu:
-            partitioned, bins = self.partition(fraction, config)
+            partitioned, _bins = self.partition(fraction, config)
+            hot = self.hot_phase(fraction, config)
             with self.stats.stage("ap_cpu"):
-                self._ap_cpu[key] = run_ap_cpu(
-                    partitioned, self.test_input, config, bins, self.config.cpu_model
+                self._ap_cpu[key] = ap_cpu_outcome(
+                    partitioned, hot, self.config.cpu_model
                 )
         return self._ap_cpu[key]
 
@@ -363,21 +407,29 @@ class AppRun:
 
         ``None``/``"auto"`` consults the cost advisory
         (:meth:`backend_advisory`); an explicit name skips the advisory
-        entirely.  Either way the choice is feasibility-checked against
-        the concrete network: ``auto`` requests fall back to multistream
-        silently, explicit ones raise
-        :class:`~repro.sim.BackendInfeasibleError` unless
+        entirely.  The choice is feasibility-checked against the concrete
+        network (:meth:`Engine.feasible <repro.sim.Engine.feasible>`):
+        ``auto`` requests fall back to multistream silently, explicit ones
+        raise :class:`~repro.sim.BackendInfeasibleError` unless
         ``allow_fallback=True`` opts into substitution, so the returned
-        name is the engine that will actually execute.
+        name is the engine that will actually execute.  An ``auto`` advisory
+        explored at ``compile_dfa``'s default budget is its own check: it
+        priced ``dfa`` with the same two gates over this very network.
 
         With ``reduce=True`` feasibility is checked against the *reduced*
         network (the one that will execute) — a reduction can make a
         DFA-unsafe network safe, so the reduced check is both necessary
         and an opportunity.
         """
+        # Deferred: repro.cost imports this module for the AppRun type.
+        from ..cost.explore import DEFAULT_DFA_BUDGET
+
         advised = FALLBACK_BACKEND
         if requested in (None, "auto"):
-            advised = self.backend_advisory(fraction, budget).recommended
+            advisory = self.backend_advisory(fraction, budget)
+            advised = advisory.recommended
+            if not reduce and advisory.exploration.budget == DEFAULT_DFA_BUDGET:
+                return advised, get_engine(advised)
         subject = self.reduction().network if reduce else self.network
         return resolve_backend(
             requested, subject, advised=advised,

@@ -27,7 +27,7 @@ reimplementation that could drift (DESIGN.md §12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -231,11 +231,12 @@ class DFA:
     ``reports[s][c]`` lists the network's reporting state ids activated by
     that transition (empty tuple if silent); ``reports_mid`` is the same
     with end-of-data reporters removed (used at every position except the
-    last).  ``subsets[s]`` is the set of global NFA states DFA state ``s``
-    encodes — the subset-construction witness, kept so downstream
-    consumers (:mod:`repro.sim.dfa`, which also executes the table) can
-    recover NFA-level facts such as the ever-enabled set without
-    re-running subset construction.
+    last).  ``subsets[s]`` is the big-int subset DFA state ``s`` encodes
+    (bit ``g`` = global NFA state ``g``) — the subset-construction witness,
+    kept as the walk held it so downstream consumers
+    (:mod:`repro.sim.dfa`, which also executes the table) can recover
+    NFA-level facts such as the ever-enabled set without re-running subset
+    construction.
     """
 
     n_states: int
@@ -244,14 +245,16 @@ class DFA:
     transitions: np.ndarray  # (n_states, n_classes)
     reports: List[List[Tuple[int, ...]]]
     reports_mid: List[List[Tuple[int, ...]]]
-    subsets: Tuple[FrozenSet[int], ...] = ()
+    subsets: Tuple[int, ...] = ()
 
     @property
     def n_classes(self) -> int:
         return int(self.transitions.shape[1])
 
 
-def determinize(network: Network, *, max_states: int = 65536) -> DFA:
+def determinize(
+    network: Network, *, max_states: int = 65536, core: Optional[SubsetCore] = None
+) -> DFA:
     """Subset construction over the whole network.
 
     Raises :class:`DeterminizeError` when more than ``max_states`` subset
@@ -261,12 +264,15 @@ def determinize(network: Network, *, max_states: int = 65536) -> DFA:
     :mod:`repro.cost.explore`, pinned by the boundary regression tests in
     ``tests/test_dfa_backend.py``.  DFA states are numbered in discovery
     order of a depth-first walk that expands classes in index order.
+    ``core`` is ``network``'s :class:`SubsetCore` when the caller already
+    holds it.
     """
     if max_states < 1:
         # Mirror the explorer's budget validation: the initial subset always
         # exists, so max_states=0 could never honor its own contract.
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    core = subset_core(network)
+    if core is None:
+        core = subset_core(network)
     n_classes = core.n_classes
     step = core.step
     start_steps = core.start_steps()
@@ -316,5 +322,5 @@ def determinize(network: Network, *, max_states: int = 65536) -> DFA:
         ),
         reports=report_rows,
         reports_mid=report_mid_rows,
-        subsets=tuple(frozenset(_mask_bits(subset)) for subset in index_of),
+        subsets=tuple(index_of),
     )

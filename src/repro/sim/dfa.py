@@ -46,7 +46,7 @@ import numpy as np
 
 from .. import bitops
 from ..nfa.automaton import Network
-from ..nfa.determinize import DFA, DeterminizeError, determinize
+from ..nfa.determinize import DFA, DeterminizeError, SubsetCore, determinize
 from ..nfa.symbolset import ALPHABET_SIZE
 from .engine import as_input_array
 from .result import SimResult, reports_to_array
@@ -184,6 +184,7 @@ def compile_dfa(
     *,
     budget: Optional[int] = None,
     table_budget: Optional[int] = None,
+    core: Optional[SubsetCore] = None,
 ) -> CompiledDFA:
     """Determinize ``network`` and materialize the dense execution tables.
 
@@ -193,11 +194,12 @@ def compile_dfa(
     :data:`repro.cost.model.DFA_TABLE_BUDGET`).  Raises
     :class:`DfaInfeasibleError` when either gate fails, so callers have a
     single feasibility surface regardless of *why* the DFA is off the
-    table.
+    table.  ``core`` is ``network``'s subset core when the caller already
+    holds it.
     """
     state_budget, byte_budget = _default_budgets(budget, table_budget)
     try:
-        dfa = determinize(network, max_states=state_budget)
+        dfa = determinize(network, max_states=state_budget, core=core)
     except DeterminizeError as exc:
         raise DfaInfeasibleError(
             f"subset construction burst the {state_budget}-state budget: {exc}"
@@ -224,10 +226,9 @@ def compile_determinized(network: Network, dfa: DFA) -> CompiledDFA:
     n_words = bitops.num_words(max(n_nfa, 1))
     dtype = dfa_table_dtype(dfa.n_states)
     transitions = np.ascontiguousarray(dfa.transitions.astype(dtype))
-    subset_masks = np.zeros((dfa.n_states, n_words), dtype=np.uint64)
-    for index, subset in enumerate(dfa.subsets):
-        if subset:
-            subset_masks[index] = bitops.from_indices(sorted(subset), max(n_nfa, 1))
+    row_bytes = n_words * 8
+    packed = b"".join(subset.to_bytes(row_bytes, "little") for subset in dfa.subsets)
+    subset_masks = np.frombuffer(packed, dtype=np.uint64).reshape(dfa.n_states, n_words)
     return CompiledDFA(
         n_states=dfa.n_states,
         n_nfa_states=n_nfa,

@@ -1,5 +1,6 @@
 """Shared test utilities: random network generation, hypothesis strategies,
-and loop-based references for subset construction."""
+loop-based references for subset construction, and the NFA-engine
+reference for the SpAP hot phase."""
 
 from __future__ import annotations
 
@@ -9,10 +10,14 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.core.partition import PartitionedNetwork
+from repro.core.scenarios import HotPhase
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.determinize import DFA, DeterminizeError, flatten_network
 from repro.nfa.symbolset import ALPHABET_SIZE, SymbolSet
+from repro.sim.compiled import compile_network
 from repro.sim.dfa import compile_determinized, dfa_run
+from repro.sim.engine import as_input_array, run
 
 #: A small alphabet keeps random inputs likely to hit transitions.
 SMALL_ALPHABET = b"abcd"
@@ -104,6 +109,25 @@ def dfa_reports(network: Network, dfa: DFA, data: bytes) -> np.ndarray:
     return dfa_run(compile_determinized(network, dfa), data).reports
 
 
+def subset_sets(dfa: DFA) -> Tuple[FrozenSet[int], ...]:
+    """``dfa.subsets`` (big ints, bit ``g`` = global state ``g``) as sets of
+    global state ids."""
+    return tuple(
+        frozenset(gid for gid in range(subset.bit_length()) if subset >> gid & 1)
+        for subset in dfa.subsets
+    )
+
+
+def nfa_hot_phase(
+    partitioned: PartitionedNetwork, data: bytes, hot_bins: List[List[int]]
+) -> HotPhase:
+    """BaseAP mode on the bit-packed NFA engine: the reference for the
+    lazy-DFA hot phase of ``repro.core.scenarios.run_hot_phase``."""
+    symbols = as_input_array(data)
+    result = run(compile_network(partitioned.hot), symbols, track_enabled=False)
+    return HotPhase.from_reports(partitioned, result.reports, symbols, hot_bins)
+
+
 # -- loop references for repro.nfa.determinize ---------------------------------
 #
 # Subset construction as it was written before the big-int core: per-symbol
@@ -137,7 +161,8 @@ def class_representatives(class_of: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def reference_determinize(network: Network, *, max_states: int = 65536) -> DFA:
-    """Depth-first subset construction over frozensets of global states."""
+    """Depth-first subset construction over frozensets of global states
+    (its ``subsets`` stay frozensets: compare them with :func:`subset_sets`)."""
     class_of, n_classes = reference_alphabet_classes(network)
     representative = class_representatives(class_of, n_classes)
     tables = flatten_network(network)

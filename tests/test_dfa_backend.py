@@ -58,6 +58,7 @@ from helpers import (
     random_input,
     random_network,
     seeds,
+    subset_sets,
 )
 
 _CONFIG = ExperimentConfig(scale=64, input_len=512)
@@ -100,7 +101,8 @@ class TestTableMatchesNetworkTables:
         representative = class_representatives(
             dfa.class_of_symbol, compiled.n_classes
         )
-        index_of = {subset: index for index, subset in enumerate(dfa.subsets)}
+        subsets = subset_sets(dfa)
+        index_of = {subset: index for index, subset in enumerate(subsets)}
 
         assert compiled.transitions.shape == (dfa.n_states, dfa.n_classes)
         assert compiled.transitions.dtype == dfa_table_dtype(dfa.n_states)
@@ -109,7 +111,7 @@ class TestTableMatchesNetworkTables:
             c = rng.randrange(compiled.n_classes)
             symbol = int(representative[c])
             activated = [
-                gid for gid in dfa.subsets[s]
+                gid for gid in subsets[s]
                 if tables.symbol_sets[gid].matches(symbol)
             ]
             target = set(tables.always)
@@ -129,7 +131,7 @@ class TestTableMatchesNetworkTables:
         dfa = determinize(network)
         compiled = compile_determinized(network, dfa)
         n = max(network.n_states, 1)
-        for index, subset in enumerate(dfa.subsets):
+        for index, subset in enumerate(subset_sets(dfa)):
             expected = bitops.from_indices(sorted(subset), n)
             assert (compiled.subset_masks[index] == expected).all()
 

@@ -17,12 +17,17 @@ from repro.core import (
     run_baseline_ap,
     verify_equivalence,
 )
+from repro.core.scenarios import ap_cpu_outcome, base_spap_outcome
 from repro.experiments import ExperimentConfig
+from repro.experiments.pipeline import AppRun
 from repro.nfa.anml import network_from_anml, network_to_anml
 from repro.nfa.analysis import analyze_network
 from repro.sim import compile_network, run
 from repro.sim.result import reports_equal
 from repro.workloads import get_app
+from repro.workloads.registry import app_names
+
+from helpers import nfa_hot_phase
 
 CFG = ExperimentConfig(scale=64, input_len=1024)
 PIPELINE_APPS = ["Bro217", "DS03", "HM", "LV", "RF2", "CAV"]
@@ -76,6 +81,48 @@ class TestFullPipeline:
         assert np.array_equal(
             np.unique(original.reports[:, 0]), np.unique(reloaded.reports[:, 0])
         )
+
+
+#: The counters every scenario outcome carries (``cycles`` is derived).
+_OUTCOME_FIELDS = (
+    "n_batches", "n_hot_batches", "n_cold_batches", "n_symbols", "cycles",
+    "base_cycles", "spap_consumed_cycles", "spap_stall_cycles",
+    "n_intermediate_reports", "cpu_seconds",
+)
+
+
+@pytest.mark.parametrize("abbr", app_names())
+def test_pipeline_scenarios_match_nfa_reference(abbr):
+    """The cached pipeline's scenarios on every registry app.
+
+    ``AppRun`` takes the baseline's reports from its truth run and shares
+    one lazy-DFA hot phase between SpAP and AP-CPU; here every outcome is
+    recomputed independently with ``run_baseline_ap`` and the NFA-engine hot
+    phase and must match field for field.
+    """
+    app_run = AppRun(get_app(abbr), CFG)
+    config, fraction = CFG.half_core, CFG.profile_fractions[-1]
+    if max(a.n_states for a in app_run.network.automata) > config.capacity:
+        # At scale 64 one CAV4k NFA outgrows the half core (SPAP-B001), so
+        # no batch plan exists there; the large core holds it.
+        config = CFG.large_core
+    data = app_run.test_input
+    partitioned, bins = app_run.partition(fraction, config)
+    reference_hot = nfa_hot_phase(partitioned, data, bins)
+    pairs = [
+        (app_run.baseline(config), run_baseline_ap(app_run.network, data, config)),
+        (app_run.base_spap(fraction, config),
+         base_spap_outcome(partitioned, reference_hot, config)),
+        (app_run.ap_cpu(fraction, config),
+         ap_cpu_outcome(partitioned, reference_hot, CFG.cpu_model)),
+    ]
+    for got, expected in pairs:
+        for name in _OUTCOME_FIELDS:
+            assert getattr(got, name, None) == getattr(expected, name, None), name
+        assert reports_equal(got.reports, expected.reports)
+    # The correctness invariant against an independent whole-network run.
+    for got, _expected in pairs:
+        assert reports_equal(got.reports, app_run.truth.reports)
 
 
 class TestBatchingInvariants:

@@ -84,12 +84,15 @@ class TestGetRunThreadSafety:
     def test_lazy_compile_races_compute_once(self):
         run = get_run("LV", CONFIG)
         compiled = [None] * N_THREADS
+        cores = [None] * N_THREADS
 
         def worker(index):
             compiled[index] = run.compiled
+            cores[index] = run.subset_core(run.network)
 
         _hammer(worker)
         assert all(c is compiled[0] for c in compiled)
+        assert all(core is cores[0] for core in cores)
         # Double-checked locking admitted exactly one compute per stage.
         assert run.stats.calls("build") == 1
         assert run.stats.calls("compile") == 1
