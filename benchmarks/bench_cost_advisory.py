@@ -3,8 +3,8 @@
 The analytic cost model (``repro.cost.model``) prices every engine backend
 from static features alone; its one falsifiable claim is that the *ordering*
 it predicts matches reality.  This harness measures the live backends
-(reference, bitpacked, multistream, the lazy-DFA hybrid, and — on
-DFA-safe networks — the table-driven dfa engine) on each application's
+(reference, bitpacked, the lazy-DFA hybrid, and — on DFA-safe networks —
+the table-driven dfa engine) on each application's
 parent network and checks
 that the model's predicted-fastest among the backends measured is the
 measured-fastest, per application::
@@ -28,25 +28,23 @@ from repro.cost import advise_network, rank_backends
 from repro.sim import (
     compile_dfa,
     compile_lazydfa,
-    compile_network,
     dfa_feasible,
     dfa_run,
     lazydfa_run,
     reference_run,
     run,
-    run_multi,
+    subset_core,
 )
 from repro.workloads.registry import get_app
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cost.json"
 #: The CI family spread (regex, IDS, Hamming, Levenshtein, start-of-data).
 APPS = ("Bro217", "Snort", "ER", "HM", "LV", "SPM", "Fermi", "CAV")
-SCALE, INPUT_LEN, K_STREAMS = 64, 2048, 8
+SCALE, INPUT_LEN = 64, 2048
 #: Backends with a live engine to measure against ("dfa" only where the
 #: network is DFA-safe within the default budgets; "lazydfa" everywhere —
 #: the hybrid needs no proof).
-MEASURED_BACKENDS = ("reference", "bitpacked", "multistream", "dfa",
-                     "lazydfa")
+MEASURED_BACKENDS = ("reference", "bitpacked", "dfa", "lazydfa")
 #: Acceptance floor: the model must pick the measured winner on at least
 #: this fraction of the swept applications.
 MIN_AGREEMENT = 0.8
@@ -77,18 +75,13 @@ def _measure_app(abbr, repeats=3):
     spec = get_app(abbr)
     network = spec.build(SCALE)
     data = spec.make_input(network, INPUT_LEN)
-    compiled = compile_network(network)
+    compiled = subset_core(network)
     n = len(data)
-    streams = [data] * K_STREAMS
 
     measured = {
         "reference": _us_per_byte(lambda: reference_run(network, data), n, repeats),
         "bitpacked": _us_per_byte(
             lambda: run(compiled, data, track_enabled=False), n, repeats
-        ),
-        "multistream": _us_per_byte(
-            lambda: run_multi(compiled, streams, track_enabled=False),
-            n * K_STREAMS, repeats,
         ),
     }
     if dfa_feasible(network):
@@ -100,7 +93,7 @@ def _measure_app(abbr, repeats=3):
     measured["lazydfa"] = _us_per_byte(
         lambda: lazydfa_run(lazy, data), n, repeats
     )
-    advisory = advise_network(network, horizon=INPUT_LEN, n_streams=K_STREAMS)
+    advisory = advise_network(network, horizon=INPUT_LEN)
     # Compare over the backends actually measured, so an app without a
     # feasible DFA still scores the three-way ordering.
     predicted = {
@@ -127,7 +120,6 @@ def collect_metrics(repeats=3, apps=APPS):
         "workload": {
             "scale": SCALE,
             "input_len": INPUT_LEN,
-            "k_streams": K_STREAMS,
             "apps": list(apps),
         },
         "agreement_fraction": round(agreement, 3),

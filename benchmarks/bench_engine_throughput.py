@@ -9,14 +9,16 @@ Run directly, this module is the benchmark-trajectory harness::
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py          # write BENCH_engine.json
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --check  # CI smoke assertion
 
-The harness measures MB/s for the engines (reference, bit-packed, matrix,
-multi-stream, table-driven DFA, and the bounded-subset lazy-DFA hybrid) on
-the standard workload — Snort at scale 64 is DFA-safe, so the same
+The harness measures MB/s for the engines (reference, the NFA engine on
+the subset core, matrix, table-driven DFA, and the bounded-subset lazy-DFA
+hybrid) on the standard workload — Snort at scale 64 is DFA-safe, so the same
 workload carries the ``dfa`` measurement — plus a ``lazydfa_unsafe``
 section timing the hybrid against bitpacked on the DFA-*unsafe* registry
 apps (where no eager table exists), and records the *speedup ratios*
 against a live re-run of the seed hot loop (``_seed_run`` below, a
-verbatim copy of the pre-optimization engine).  Ratios of two measurements taken on the same
+verbatim copy of the pre-optimization engine, over the packed accept
+matrix and CSR successor table it read, rebuilt by ``_SeedTables``).
+Ratios of two measurements taken on the same
 machine moments apart are machine-independent, so ``--check`` can compare
 today's ratio against the committed one without caring how fast the CI
 runner is.  See DESIGN.md §"Benchmark trajectory".
@@ -38,10 +40,11 @@ import numpy as np
 import pytest
 
 from repro import bitops
+from repro.nfa.determinize import flatten_network
+from repro.nfa.symbolset import ALPHABET_SIZE
 from repro.sim import (
     compile_dfa,
     compile_lazydfa,
-    compile_network,
     dfa_run,
     lazydfa_run,
     matrix_compile,
@@ -49,7 +52,7 @@ from repro.sim import (
     reference_run,
     reports_equal,
     run,
-    run_multi,
+    subset_core,
 )
 from repro.sim.result import reports_to_array
 from repro.stats import SCHEMA_VERSION, StageTimer, validate_spans
@@ -58,13 +61,12 @@ from repro.workloads.registry import get_app
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: Stage-timing stats (repro.stats spans) written next to BENCH_engine.json.
 STATS_PATH = BENCH_PATH.with_name("BENCH_engine_stats.json")
-APP, SCALE, INPUT_LEN, K_STREAMS = "Snort", 64, 2048, 8
+APP, SCALE, INPUT_LEN = "Snort", 64, 2048
 #: ``--check`` passes while live ratios stay above this fraction of the
 #: committed ones (CI runners are noisy; ratios still drift a little).
 TOLERANCE = 0.5
 #: Hard floors from the acceptance criteria, enforced regardless of drift.
 MIN_BITPACKED_VS_SEED = 1.5
-MIN_MULTISTREAM_VS_K_SCALAR = 1.0
 MIN_DFA_VS_BITPACKED = 10.0
 #: The lazy hybrid must beat bitpacked by this factor on at least one
 #: previously DFA-unsafe application (and the committed document must
@@ -78,13 +80,11 @@ UNSAFE_APPS = ("LV", "ER", "SPM", "Fermi", "Brill")
 
 #: Full document shape: every key the harness writes, pinned so a partial
 #: merge (stale workload metadata, missing engine column) cannot validate.
-_WORKLOAD_KEYS = ("app", "scale", "input_len", "n_states", "k_streams",
-                  "dfa_states", "dfa_classes", "dfa_table_bytes")
-_THROUGHPUT_KEYS = ("seed_scalar", "reference", "bitpacked", "matrix",
-                    "k_scalar_aggregate", "multistream_aggregate", "dfa",
+_WORKLOAD_KEYS = ("app", "scale", "input_len", "n_states", "dfa_states",
+                  "dfa_classes", "dfa_table_bytes")
+_THROUGHPUT_KEYS = ("seed_scalar", "reference", "bitpacked", "matrix", "dfa",
                     "lazydfa")
-_SPEEDUP_KEYS = ("bitpacked_vs_seed", "matrix_vs_seed",
-                 "multistream_vs_k_scalar", "dfa_vs_bitpacked",
+_SPEEDUP_KEYS = ("bitpacked_vs_seed", "matrix_vs_seed", "dfa_vs_bitpacked",
                  "lazydfa_vs_bitpacked")
 _UNSAFE_APP_KEYS = ("app", "bitpacked_mb_s", "lazydfa_mb_s", "speedup")
 
@@ -149,7 +149,7 @@ def validate_engine_bench(document):
 def snort_compiled():
     spec = get_app(APP)
     network = spec.build(SCALE)
-    return compile_network(network), spec.make_input(network, INPUT_LEN)
+    return subset_core(network), spec.make_input(network, INPUT_LEN)
 
 
 def test_engine_throughput_snort(benchmark, snort_compiled):
@@ -164,17 +164,10 @@ def test_engine_throughput_with_tracking(benchmark, snort_compiled):
     assert result.hot_count() > 0
 
 
-def test_multistream_throughput(benchmark, snort_compiled):
-    compiled, data = snort_compiled
-    streams = [data] * K_STREAMS
-    results = benchmark(lambda: run_multi(compiled, streams, track_enabled=False))
-    assert len(results) == K_STREAMS
-
-
-def test_compile_network_cost(benchmark):
+def test_subset_core_cost(benchmark):
     spec = get_app("Brill")
     network = spec.build(64)
-    compiled = benchmark(lambda: compile_network(network))
+    compiled = benchmark(lambda: subset_core(network))
     assert compiled.n_states == network.n_states
 
 
@@ -183,11 +176,59 @@ def test_compile_network_cost(benchmark):
 # --------------------------------------------------------------------------
 
 
+class _SeedTables:
+    """The array form the seed loop read: a 256-row packed accept matrix,
+    packed start/report masks and a CSR successor table (global ids)."""
+
+    def __init__(self, network):
+        tables = flatten_network(network)
+        n = tables.n_states
+        n_words = bitops.num_words(max(n, 1))
+        accept = np.zeros((ALPHABET_SIZE, n), dtype=bool)
+        for gid, symbol_set in enumerate(tables.symbol_sets):
+            accept[:, gid] = symbol_set.to_bool_array()
+        packed = np.zeros((ALPHABET_SIZE, n_words * 8), dtype=np.uint8)
+        rows = np.packbits(accept, axis=1, bitorder="little")
+        packed[:, : rows.shape[1]] = rows
+        self.accept = packed.view(np.uint64)
+        self.start_all = bitops.from_indices(sorted(tables.always), max(n, 1))
+        self._initial = bitops.from_indices(sorted(tables.initial), max(n, 1))
+        reporting = [gid for gid in range(n) if tables.reporting[gid]]
+        self.report_mask = bitops.from_indices(reporting, max(n, 1))
+        self.eod_mask = bitops.from_indices(
+            [gid for gid in reporting if tables.eod[gid]], max(n, 1)
+        )
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in tables.successors], out=self.indptr[1:])
+        self.indices = np.array(
+            [dst for successors in tables.successors for dst in successors],
+            dtype=np.int64,
+        )
+
+    def initial_enabled(self):
+        return self._initial
+
+    def successors_of(self, rows):
+        """Concatenate the CSR rows of ``rows`` (with duplicates)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return np.empty(0, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            return np.empty(0, dtype=np.int64)
+        cum = np.cumsum(counts)
+        within = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
+        return self.indices[np.repeat(starts, counts) + within]
+
+
 def _seed_run(compiled, input_data):
     """The seed repo's scalar hot loop, kept verbatim as the live baseline.
 
     Re-measuring it alongside the current engine turns absolute MB/s (which
     depends on the machine) into a speedup ratio (which does not).
+    ``compiled`` is a :class:`_SeedTables`.
     """
     symbols = np.frombuffer(bytes(input_data), dtype=np.uint8)
     enabled = compiled.initial_enabled().copy()
@@ -233,10 +274,10 @@ def collect_metrics(repeats=3, timer=None):
     spec = get_app(APP)
     with timer.stage("build_compile"):
         network = spec.build(SCALE)
-        compiled = compile_network(network)
+        compiled = subset_core(network)
+        seed_tables = _SeedTables(network)
         data = spec.make_input(network, INPUT_LEN)
     n = len(data)
-    streams = [data] * K_STREAMS
     with timer.stage("compile_dfa"):
         # Snort at scale 64 is DFA-safe within the default budgets, so the
         # standard workload carries the dfa measurement directly.
@@ -245,23 +286,21 @@ def collect_metrics(repeats=3, timer=None):
         lazy = compile_lazydfa(network)
 
     with timer.stage("equivalence"):
-        seed_result = _seed_run(compiled, data)
+        seed_result = _seed_run(seed_tables, data)
         fast_result = run(compiled, data, track_enabled=False)
         reference_result = reference_run(network, data)
         matrix_result = matrix_run(matrix_compile(network), data)
-        multi_results = run_multi(compiled, streams, track_enabled=False)
         dfa_result = dfa_run(dfa, data)
         lazy_result = lazydfa_run(lazy, data)
         identical = all(
-            reports_equal(fast_result.reports, other)
-            for other in [seed_result, reference_result.reports,
+            reports_equal(reference_result.reports, other)
+            for other in [seed_result, fast_result.reports,
                           matrix_result.reports, dfa_result.reports,
                           lazy_result.reports]
-            + [r.reports for r in multi_results]
         )
 
     with timer.stage("measure_seed"):
-        seed = _mb_per_s(lambda: _seed_run(compiled, data), n, repeats)
+        seed = _mb_per_s(lambda: _seed_run(seed_tables, data), n, repeats)
     with timer.stage("measure_bitpacked"):
         bitpacked = _mb_per_s(
             lambda: run(compiled, data, track_enabled=False), n, repeats
@@ -271,16 +310,6 @@ def collect_metrics(repeats=3, timer=None):
     with timer.stage("measure_matrix"):
         mat = matrix_compile(network)
         matrix = _mb_per_s(lambda: matrix_run(mat, data), n, repeats)
-    with timer.stage("measure_k_scalar"):
-        k_scalar = _mb_per_s(
-            lambda: [run(compiled, s, track_enabled=False) for s in streams],
-            n * K_STREAMS, repeats,
-        )
-    with timer.stage("measure_multistream"):
-        multistream = _mb_per_s(
-            lambda: run_multi(compiled, streams, track_enabled=False),
-            n * K_STREAMS, repeats,
-        )
     with timer.stage("measure_dfa"):
         dfa_run(dfa, data)  # warm the lazy flat-table build out of the timing
         dfa_mb_s = _mb_per_s(lambda: dfa_run(dfa, data), n, repeats)
@@ -303,7 +332,6 @@ def collect_metrics(repeats=3, timer=None):
             "scale": SCALE,
             "input_len": n,
             "n_states": compiled.n_states,
-            "k_streams": K_STREAMS,
             "dfa_states": dfa.n_states,
             "dfa_classes": dfa.n_classes,
             "dfa_table_bytes": dfa.table_bytes,
@@ -313,15 +341,12 @@ def collect_metrics(repeats=3, timer=None):
             "reference": round(reference, 3),
             "bitpacked": round(bitpacked, 3),
             "matrix": round(matrix, 3),
-            "k_scalar_aggregate": round(k_scalar, 3),
-            "multistream_aggregate": round(multistream, 3),
             "dfa": round(dfa_mb_s, 3),
             "lazydfa": round(lazydfa_mb_s, 3),
         },
         "speedup": {
             "bitpacked_vs_seed": round(bitpacked / seed, 3),
             "matrix_vs_seed": round(matrix / seed, 3),
-            "multistream_vs_k_scalar": round(multistream / k_scalar, 3),
             "dfa_vs_bitpacked": round(dfa_mb_s / bitpacked, 3),
             "lazydfa_vs_bitpacked": round(lazydfa_mb_s / bitpacked, 3),
         },
@@ -350,7 +375,7 @@ def _measure_unsafe_apps(repeats=3):
             f"{abbr} became DFA-safe at scale {SCALE}; "
             f"drop it from UNSAFE_APPS"
         )
-        compiled = compile_network(network)
+        compiled = subset_core(network)
         data = spec.make_input(network, INPUT_LEN)
         n = len(data)
         lazy = compile_lazydfa(network)
@@ -378,7 +403,6 @@ def _check(recorded, live):
         failures.append("engines no longer produce identical reports")
     for key, floor in [
         ("bitpacked_vs_seed", MIN_BITPACKED_VS_SEED),
-        ("multistream_vs_k_scalar", MIN_MULTISTREAM_VS_K_SCALAR),
         ("dfa_vs_bitpacked", MIN_DFA_VS_BITPACKED),
     ]:
         old = recorded["speedup"][key]

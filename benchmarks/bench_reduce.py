@@ -25,7 +25,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.reduce import analyze_run_reduce, reduce_network
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.workloads.registry import app_names, get_app
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_reduce.json"
@@ -90,8 +90,8 @@ def _throughput_row(abbr, repeats=3):
     network = spec.build(SCALE)
     data = spec.make_input(network, INPUT_LEN)
     reduction = reduce_network(network)
-    parent = compile_network(network)
-    reduced = compile_network(reduction.network)
+    parent = subset_core(network)
+    reduced = subset_core(reduction.network)
     n = len(data)
     parent_us = _us_per_byte(lambda: run(parent, data, track_enabled=False), n, repeats)
     reduced_us = _us_per_byte(

@@ -12,8 +12,8 @@ and drives it with the closed-loop load generator twice:
   eager-when-idle policy dispatches each request alone, so this is the
   honest *serial per-request* baseline (no coalescing window is paid).
 * **concurrency 32** — 32 requests in flight; the coalescer folds them
-  into multi-stream batches, so many requests ride one ``(K, n_words)``
-  lock-step pass.
+  into batches, so many requests share one executor hop (each stream is
+  still its own walk through the engine).
 
 As with ``bench_engine_throughput.py``, the committed artifact records the
 *ratio* of two measurements taken moments apart on the same machine —

@@ -10,7 +10,7 @@ that defeats topological cuts).
 from repro.core.oracle import constrained_states, ideal_speedup
 from repro.experiments import ExperimentConfig
 from repro.nfa.analysis import analyze_network, depth_buckets
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.workloads import get_app
 
 
@@ -19,7 +19,7 @@ def analyze(abbr: str, config: ExperimentConfig) -> None:
     network = spec.build(config.scale)
     topology = analyze_network(network)
     data = spec.make_input(network, config.input_len)
-    result = run(compile_network(network), data[len(data) // 2 :])
+    result = run(subset_core(network), data[len(data) // 2 :])
     hot = result.hot_mask()
 
     print(f"\n=== {abbr}: {network.n_states} states, "

@@ -17,7 +17,7 @@ from repro.core import (
     verify_equivalence,
 )
 from repro.nfa.automaton import Network
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.workloads import bmia_automaton
 from repro.workloads.inputs import dna_bytes
 
@@ -49,7 +49,7 @@ def main() -> None:
     genome[4000:4024] = mutate(motifs[2], [1, 5, 9, 13, 21], ord("G") if motifs[2][1] != ord("G") else ord("T"))
     genome = bytes(genome)
 
-    result = run(compile_network(network), genome)
+    result = run(subset_core(network), genome)
     print(f"\nhits ({result.reports.shape[0]}):")
     for position, gid in result.report_tuples():
         a_index, sid = network.locate(gid)

@@ -17,7 +17,7 @@ from repro.core import (
     verify_equivalence,
 )
 from repro.experiments import ExperimentConfig
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.workloads import get_app
 
 
@@ -51,7 +51,7 @@ def main() -> None:
     # Show the detections themselves: identical under both executions.
     from repro.sim import reports_by_code
 
-    full = run(compile_network(network), scan_input)
+    full = run(subset_core(network), scan_input)
     detections = reports_by_code(network, full.reports)
     print(f"\ndetected signatures ({len(detections)}):")
     for code, positions in sorted(detections.items())[:10]:

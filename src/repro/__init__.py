@@ -28,7 +28,7 @@ from .core import (
     verify_equivalence,
 )
 from .nfa import Automaton, Network, StartKind, SymbolSet, compile_regex
-from .sim import compile_network, reference_run, run
+from .sim import reference_run, run, subset_core
 
 __version__ = "1.0.0"
 
@@ -51,8 +51,8 @@ __all__ = [
     "StartKind",
     "SymbolSet",
     "compile_regex",
-    "compile_network",
     "reference_run",
     "run",
+    "subset_core",
     "__version__",
 ]

@@ -32,7 +32,7 @@ Commands:
   witness masks against the unreduced ground truth (SPAP-R001).
 * ``serve --apps A,B [--port N|--unix PATH]`` — the long-running match
   service (``repro.serve``): framed requests in, micro-batched
-  multi-stream dispatches out.
+  dispatches out.
 * ``loadgen --apps A,B [--port N|--unix PATH]`` — drive a running server
   in open or closed loop, optionally sweeping concurrency, and report
   throughput plus p50/p95/p99 latency; ``--duration`` with ``--rate``
@@ -53,7 +53,7 @@ severity fires.
 fail-fast invariant checks (see ``repro.verify``).
 ``--backend NAME|auto`` on ``run-app``, ``sweep``, and ``serve`` selects
 the execution engine per DESIGN.md §13-§14.  ``auto`` follows the cost
-advisory with silent multistream fallback when the choice is infeasible;
+advisory with silent bitpacked fallback when the choice is infeasible;
 an explicit name fails loudly when infeasible unless ``--backend-fallback``
 opts into the substitution.
 ``--reduce`` on ``run-app``, ``sweep``, and ``serve`` routes execution
@@ -638,7 +638,7 @@ def main(argv: Optional[list] = None) -> int:
                                  "explicit name forces it and fails if "
                                  "infeasible (see --backend-fallback)")
     run_parser.add_argument("--backend-fallback", action="store_true",
-                            help="accept multistream substitution when an "
+                            help="accept bitpacked substitution when an "
                                  "explicitly requested backend is infeasible "
                                  "instead of failing")
     run_parser.add_argument("--reduce", action="store_true",
@@ -679,7 +679,7 @@ def main(argv: Optional[list] = None) -> int:
                                    "explicit name fails loudly on apps where "
                                    "it is infeasible (see --backend-fallback)")
     sweep_parser.add_argument("--backend-fallback", action="store_true",
-                              help="accept multistream substitution on apps "
+                              help="accept bitpacked substitution on apps "
                                    "where an explicitly requested backend is "
                                    "infeasible instead of failing their rows")
     sweep_parser.add_argument("--reduce", action="store_true",
@@ -810,9 +810,9 @@ def main(argv: Optional[list] = None) -> int:
                               help="engine executor threads (default 2)")
     serve_parser.add_argument("--max-apps", type=int, default=8,
                               help="compiled networks kept resident (LRU)")
-    serve_parser.add_argument("--backend", default="multistream",
-                              choices=["multistream", "dfa", "lazydfa", "auto"],
-                              help="batch engine: multistream (default), "
+    serve_parser.add_argument("--backend", default="bitpacked",
+                              choices=["bitpacked", "dfa", "lazydfa", "auto"],
+                              help="batch engine: bitpacked (default), "
                                    "dfa (where feasible), lazydfa (the "
                                    "bounded-subset hybrid), or auto "
                                    "(per-app cost advisory)")
@@ -896,7 +896,7 @@ def main(argv: Optional[list] = None) -> int:
     grid_parser.add_argument("--threads", type=int, default=2,
                              help="engine executor threads per worker")
     grid_parser.add_argument("--backend", default="auto",
-                             choices=["multistream", "dfa", "lazydfa", "auto"],
+                             choices=["bitpacked", "dfa", "lazydfa", "auto"],
                              help="store compilation engine: auto (default) "
                                   "follows each app's cost advisory")
     grid_parser.add_argument("--spill-threshold", type=int, default=32,

@@ -25,10 +25,9 @@ import numpy as np
 
 from ..nfa.analysis import analyze_network
 from ..nfa.automaton import Network, StartKind
+from ..nfa.determinize import subset_core
 from ..nfa.transforms import duplicate_network
-from ..sim.compiled import compile_network
-from ..sim.engine import as_input_array
-from ..sim.multistream import run_multi
+from ..sim.engine import as_input_array, run
 from ..sim.result import reports_to_array
 from .batching import batch_network
 from .config import APConfig
@@ -95,13 +94,11 @@ def run_parallel_ap(
     duplicated = duplicate_network(network, segments)
     n_batches = len(batch_network(duplicated, config.capacity))
 
-    # All segments step through one compiled network in lock-step: a single
-    # multi-stream call replaces the per-segment scalar runs (the segments
-    # *are* the K concurrent lanes of the Parallel AP).
+    # Every segment walks the one subset core of the network (the segments
+    # are the k concurrent copies of the Parallel AP).
     segment_len = (n + segments - 1) // segments
-    compiled = compile_network(network)
-    windows: List[np.ndarray] = []
-    bounds: List[tuple] = []
+    core = subset_core(network)
+    merged: List[np.ndarray] = []
     longest = 0
     for index in range(segments):
         begin = index * segment_len
@@ -109,13 +106,8 @@ def run_parallel_ap(
         if begin >= end:
             continue
         window_start = max(0, begin - overlap)
-        windows.append(symbols[window_start:end])
-        bounds.append((window_start, begin, end))
         longest = max(longest, end - window_start)
-    merged: List[np.ndarray] = []
-    for result, (window_start, begin, end) in zip(
-        run_multi(compiled, windows, track_enabled=False), bounds
-    ):
+        result = run(core, symbols[window_start:end], track_enabled=False)
         if result.reports.size:
             reports = result.reports.copy()
             reports[:, 0] += window_start

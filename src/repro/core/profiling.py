@@ -17,7 +17,7 @@ import numpy as np
 
 from ..nfa.analysis import NetworkTopology, analyze_network
 from ..nfa.automaton import Network
-from ..sim.compiled import CompiledNetwork, compile_network
+from ..nfa.determinize import SubsetCore, subset_core
 from ..sim.engine import run
 
 __all__ = ["ProfileResult", "profile_network", "choose_partition_layers", "split_input"]
@@ -83,14 +83,17 @@ def profile_network(
     profiling_input,
     *,
     topology: Optional[NetworkTopology] = None,
-    compiled: Optional[CompiledNetwork] = None,
+    core: Optional[SubsetCore] = None,
 ) -> ProfileResult:
-    """Run the profiling input and derive partition layers."""
+    """Run the profiling input and derive partition layers.
+
+    ``core`` is ``network``'s subset core when the caller already holds it.
+    """
     if topology is None:
         topology = analyze_network(network)
-    if compiled is None:
-        compiled = compile_network(network)
-    result = run(compiled, profiling_input, track_enabled=True)
+    if core is None:
+        core = subset_core(network)
+    result = run(core, profiling_input, track_enabled=True)
     hot_mask = result.hot_mask()
     layers = choose_partition_layers(network, topology, hot_mask)
     predicted = layer_closure_mask(network, topology, layers)

@@ -38,7 +38,6 @@ from ..ap.config import APConfig
 from ..nfa.analysis import NetworkTopology, analyze_network
 from ..nfa.automaton import Network
 from ..nfa.determinize import SubsetCore, subset_core
-from ..sim.compiled import compile_network
 from ..sim.engine import as_input_array, run, run_events
 from ..sim.lazydfa import CompiledLazyDfa, lazydfa_run
 from ..sim.result import reports_equal, reports_to_array
@@ -131,7 +130,7 @@ def run_baseline_ap(network: Network, input_data, config: APConfig) -> BaselineO
     """Execute the unpartitioned application in batches (the paper's baseline)."""
     symbols = as_input_array(input_data)
     batches = batch_network(network, config.capacity)
-    result = run(compile_network(network), symbols, track_enabled=False)
+    result = run(subset_core(network), symbols, track_enabled=False)
     return BaselineOutcome(
         n_batches=len(batches),
         n_symbols=int(symbols.size),
@@ -269,7 +268,7 @@ def base_spap_outcome(
                 continue
             executed_cold_batches += 1
             outcome = run_events(
-                compile_network(batch.network), symbols, batch_events, count_stalls=True
+                subset_core(batch.network), symbols, batch_events, count_stalls=True
             )
             consumed += outcome.consumed_cycles
             stalls += outcome.stall_cycles
@@ -309,15 +308,19 @@ def ap_cpu_outcome(
     partitioned: PartitionedNetwork,
     hot: HotPhase,
     cpu_model: CPUCostModel = DEFAULT_CPU_MODEL,
+    *,
+    core: Optional[SubsetCore] = None,
 ) -> PartitionedOutcome:
-    """The CPU software handler on the cold set, driven by a finished hot phase."""
+    """The CPU software handler on the cold set, driven by a finished hot
+    phase.  ``core`` is the cold network's subset core when the caller
+    holds it."""
     n_events = int(hot.events.shape[0])
     all_reports = [hot.final_reports]
     cpu_seconds = 0.0
     if partitioned.cold.n_states and n_events:
-        outcome = run_events(
-            compile_network(partitioned.cold), hot.symbols, hot.events, count_stalls=False
-        )
+        if core is None:
+            core = subset_core(partitioned.cold)
+        outcome = run_events(core, hot.symbols, hot.events, count_stalls=False)
         cpu_seconds = cpu_model.seconds(outcome.consumed_cycles, n_events)
         cold_reports = outcome.reports.copy()
         if cold_reports.size:

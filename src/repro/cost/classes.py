@@ -6,9 +6,8 @@ effective class count per partition — the class count of the same
 subset core determinization compresses columns with — and the resulting
 transition-table sizes under the two encodings the engines use:
 
-* **dense**: one row per byte value (the 256-row accept matrix of
-  ``sim/compiled.py``, the AP's DRAM-row layout) — ``256 * n_words * 8``
-  bytes;
+* **dense**: one row per byte value (a 256-row accept matrix, the AP's
+  DRAM-row layout) — ``256 * n_words * 8`` bytes;
 * **class-compressed**: one row per equivalence class plus a 256-entry
   byte->class map — ``n_classes * n_words * 8 + 256`` bytes.
 

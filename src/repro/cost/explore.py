@@ -95,7 +95,7 @@ def explore_subset_construction(
     moving = ~core.always_mask
     classes = [
         (accept & moving, start)
-        for accept, start in zip(core.accept_masks, core.start_steps())
+        for accept, start in zip(core.accept_masks, core.start_steps)
     ]
     seen: Set[int] = {core.initial_mask}
     frontier: Deque[Tuple[int, int]] = deque([(core.initial_mask, 0)])
@@ -104,7 +104,8 @@ def explore_subset_construction(
     while frontier:
         current, depth = frontier.popleft()
         for accept, start in classes:
-            nxt = step(current & accept) | start
+            stepping = current & accept
+            nxt = step(stepping) | start if stepping else start
             if nxt not in seen:
                 if len(seen) >= budget:
                     return SubsetExploration(

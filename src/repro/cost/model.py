@@ -10,14 +10,12 @@ Backends modeled (the pluggable-engine set the ROADMAP's hybrid-DFA item
 will make selectable per partition):
 
 * ``reference`` — the set-based engine: cost tracks the number of *active*
-  states per cycle, so it wins when activity is sparse (event-driven cold
-  partitions).
-* ``bitpacked`` — the word-parallel engine: cost tracks the packed vector
-  width ``n_words`` plus a fixed per-cycle overhead, independent of
-  activity.
-* ``multistream`` — K-wide lock-step bitpacked execution: the per-cycle
-  overhead amortizes over K streams; a *throughput* backend, feasible only
-  for streaming (not event-driven) partitions.
+  states per cycle on top of a fixed per-cycle overhead.
+* ``bitpacked`` — the NFA engine on the subset core: a fixed per-symbol
+  loop cost plus work per *active* state (one shifted successor OR each),
+  so its cost follows activity, not the vector width; its fixed cost is a
+  fraction of the reference engine's, so it wins on sparse event-driven
+  (cold) partitions too.
 * ``dfa`` — table-driven DFA dispatch: one lookup per symbol, independent
   of both width and activity, feasible only when subset construction was
   proven bounded and the table fits the memory budget.
@@ -25,14 +23,15 @@ will make selectable per partition):
   at close-to-``dfa`` speed, an LRU cap instead of a safety proof, so it
   is feasible for every streaming partition.  Cost is ``lz_base`` when the
   partition is DFA-safe (the cache converges to the full table) and
-  ``lz_base * lz_unsafe_factor`` otherwise — the factor is a measured
-  average of the cache-churn slowdown on the proven-unsafe bench apps.
+  ``lz_base + lz_miss_share * bitpacked`` otherwise: a share of the
+  symbols misses the cache and pays one NFA step, the share measured on
+  the proven-unsafe bench apps.
 
 Calibration (DESIGN.md §12): the default coefficients are solved from the
 committed ``BENCH_engine.json`` operating point — Snort at scale 64,
-1081 states (17 words), K=8 — whose measured throughputs are
-0.061 / 0.204 / 0.371 / 12.76 MB/s for reference / bitpacked /
-multistream / dfa (16.4 / 4.90 / 2.70 / 0.078 us per symbol).
+1081 states (17 words) — whose measured throughputs are
+0.065 / 2.354 / 12.31 / 8.53 MB/s for reference / bitpacked / dfa /
+lazydfa (15.4 / 0.425 / 0.081 / 0.117 us per symbol).
 :meth:`CostModel.from_engine_bench` re-derives them from any such
 document, so re-benching recalibrates the model without touching code —
 including ``dfa_base``, measured from the table-driven backend itself
@@ -63,13 +62,12 @@ __all__ = [
 BACKENDS: Tuple[str, ...] = (
     "reference",
     "bitpacked",
-    "multistream",
     "dfa",
     "lazydfa",
 )
 
 #: Backends that consume one contiguous symbol stream (no enable events).
-STREAMING_BACKENDS: Tuple[str, ...] = ("multistream", "dfa", "lazydfa")
+STREAMING_BACKENDS: Tuple[str, ...] = ("dfa", "lazydfa")
 
 #: Memory budget for a materialized DFA transition table (bytes).  A safe
 #: subset count whose table would still exceed this is advised against
@@ -89,15 +87,15 @@ def dfa_entry_bytes(n_dfa_states: int) -> int:
     """
     return 2 if n_dfa_states <= 0xFFFF else 4
 
-# Word-work share of bitpacked cost at the calibration point: the fraction
-# of a cycle spent on width-proportional NumPy word ops (vs fixed Python
-# dispatch overhead).  An assumption, not a measurement — see DESIGN.md §12.
-_WORD_WORK_SHARE = 0.35
-
-# Active fraction assumed for the reference engine's calibration point and
-# the share of its cost that is per-active-state set manipulation.
+# Active fraction assumed for the engines' calibration point, and the share
+# of each engine's cost there that does not depend on activity — see
+# DESIGN.md §12.  The reference share is an assumption; the bitpacked one
+# was measured once on the 2-vCPU host: the walk costs 0.17 us per symbol
+# on a 1024-state network with nothing active, about 40% of its cost at the
+# calibration point.
 _CAL_ACTIVE_FRACTION = 0.10
 _REF_BASE_SHARE = 0.10
+_BP_BASE_SHARE = 0.40
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,6 @@ class CostFeatures:
     event_driven: bool  # cold partition: enabled by SpAP events, not a stream
     dfa_safe: bool  # subset construction proven bounded (repro.cost.explore)
     dfa_states: Optional[int]  # subset-state count when safe
-    n_streams: int = 8  # lock-step width the multistream backend would run
 
     @property
     def dfa_table_bytes(self) -> Optional[int]:
@@ -149,28 +146,23 @@ class CostModel:
 
     ref_base: float  # reference: fixed per-cycle dispatch
     ref_per_active: float  # reference: per active state per cycle
-    bp_base: float  # bitpacked: fixed per-cycle dispatch
-    bp_per_word: float  # bitpacked: per packed word per cycle
-    ms_per_word: float  # multistream: per packed word per aggregate symbol
+    bp_base: float  # bitpacked: fixed per-symbol loop cost
+    bp_per_active: float  # bitpacked: per active state per cycle
     dfa_base: float  # dfa: one table lookup + report probe per symbol
     lz_base: float = 0.3  # lazydfa: one cached-cell chase per symbol
-    lz_unsafe_factor: float = 4.0  # lazydfa: churn multiplier when unsafe
+    lz_miss_share: float = 0.1  # lazydfa: symbols that miss when unsafe
 
     def predict(self, features: CostFeatures) -> Dict[str, Optional[float]]:
         """Predicted us/symbol per backend; ``None`` marks infeasible."""
         active = features.hot_fraction * features.n_states
+        bitpacked = self.bp_base + self.bp_per_active * active
         costs: Dict[str, Optional[float]] = {
             "reference": self.ref_base + self.ref_per_active * active,
-            "bitpacked": self.bp_base + self.bp_per_word * features.n_words,
-            "multistream": None,
+            "bitpacked": bitpacked,
             "dfa": None,
             "lazydfa": None,
         }
         if not features.event_driven:
-            k = max(1, features.n_streams)
-            costs["multistream"] = (
-                self.bp_base / k + self.ms_per_word * features.n_words
-            )
             table_bytes = features.dfa_table_bytes_actual
             if (
                 features.dfa_safe
@@ -179,13 +171,14 @@ class CostModel:
             ):
                 costs["dfa"] = self.dfa_base
             # The hybrid needs no proof: feasible for every streaming
-            # partition, with a measured churn penalty where the explorer
-            # could not prove a bounded subset space (or where a proven
-            # table would burst the memory budget, which the LRU absorbs).
+            # partition.  Where the explorer could not prove a bounded
+            # subset space (or a proven table would burst the memory budget,
+            # which the LRU absorbs), a measured share of the symbols misses
+            # the cache and pays one NFA step.
             costs["lazydfa"] = (
                 self.lz_base
                 if costs["dfa"] is not None
-                else self.lz_base * self.lz_unsafe_factor
+                else self.lz_base + self.lz_miss_share * bitpacked
             )
         return costs
 
@@ -199,8 +192,9 @@ class CostModel:
     ) -> "CostModel":
         """Solve coefficients from a ``BENCH_engine.json``-shaped document.
 
-        Uses the document's workload shape (states, k_streams) and measured
-        MB/s, under the documented word-work-share assumption.  ``dfa_base``
+        Uses the document's workload shape (states) and measured MB/s,
+        under the documented active-fraction and base-share assumptions.
+        ``dfa_base``
         is taken from the document's measured ``throughput_mb_s["dfa"]``
         when present (the harness times the real table-driven backend on
         the same workload); an explicit argument overrides, and documents
@@ -212,71 +206,66 @@ class CostModel:
         if not isinstance(workload, Mapping) or not isinstance(throughput, Mapping):
             raise ValueError("engine bench document missing workload/throughput_mb_s")
         n_states = int(workload["n_states"])  # type: ignore[call-overload]
-        k_streams = int(workload["k_streams"])  # type: ignore[call-overload]
-        n_words = (n_states + 63) // 64
 
         def us_per_symbol(mb_s: object) -> float:
             return 1.0 / float(mb_s)  # type: ignore[arg-type]  # 1/(MB/s) = us/B
 
         ref_us = us_per_symbol(throughput["reference"])
         bp_us = us_per_symbol(throughput["bitpacked"])
-        ms_us = us_per_symbol(throughput["multistream_aggregate"])
         if dfa_base is None:
             measured_dfa = throughput.get("dfa")
             dfa_base = us_per_symbol(measured_dfa) if measured_dfa else 0.7
 
         # Lazy hybrid: hit-path cost from the calibration workload (the
         # cache converges there, so this measures the cached-cell chase);
-        # churn factor from the harness's proven-unsafe app section.
-        # Documents predating the backend fall back to "4x the dfa lookup"
-        # and a 4x churn multiplier.
+        # miss share from the harness's proven-unsafe app section, where
+        # each app's time beyond the hit path is NFA steps at that app's
+        # measured bitpacked cost.  Documents predating the backend fall
+        # back to "4x the dfa lookup" and a 10% miss share.
         measured_lz = throughput.get("lazydfa")
         lz_base = us_per_symbol(measured_lz) if measured_lz else dfa_base * 4.0
-        lz_unsafe_factor = 4.0
+        lz_miss_share = 0.1
         unsafe_section = document.get("lazydfa_unsafe")
         if isinstance(unsafe_section, Mapping):
             apps = unsafe_section.get("apps")
             if isinstance(apps, Sequence) and apps:
-                ratios = [
-                    us_per_symbol(entry["lazydfa_mb_s"]) / lz_base
+                shares = [
+                    max(0.0, us_per_symbol(entry["lazydfa_mb_s"]) - lz_base)
+                    / us_per_symbol(entry["bitpacked_mb_s"])
                     for entry in apps
-                    if isinstance(entry, Mapping) and entry.get("lazydfa_mb_s")
+                    if isinstance(entry, Mapping)
+                    and entry.get("lazydfa_mb_s") and entry.get("bitpacked_mb_s")
                 ]
-                if ratios:
-                    lz_unsafe_factor = max(1.0, sum(ratios) / len(ratios))
+                if shares:
+                    lz_miss_share = sum(shares) / len(shares)
 
-        bp_per_word = bp_us * _WORD_WORK_SHARE / n_words
-        bp_base = bp_us - bp_per_word * n_words
-        ms_per_word = max(0.0, (ms_us - bp_base / k_streams) / n_words)
-        ref_base = ref_us * _REF_BASE_SHARE
         active = max(1.0, active_fraction * n_states)
+        ref_base = ref_us * _REF_BASE_SHARE
         ref_per_active = (ref_us - ref_base) / active
+        bp_base = bp_us * _BP_BASE_SHARE
+        bp_per_active = (bp_us - bp_base) / active
         return cls(
             ref_base=ref_base,
             ref_per_active=ref_per_active,
             bp_base=bp_base,
-            bp_per_word=bp_per_word,
-            ms_per_word=ms_per_word,
+            bp_per_active=bp_per_active,
             dfa_base=dfa_base,
             lz_base=lz_base,
-            lz_unsafe_factor=lz_unsafe_factor,
+            lz_miss_share=lz_miss_share,
         )
 
 
 #: Coefficients solved by :meth:`CostModel.from_engine_bench` from the
-#: committed BENCH_engine.json (Snort, scale 64, 1081 states, K=8); baked
-#: as literals so importing the model never reads the filesystem.
-#: ``dfa_base`` is now a *measurement* (1 / the dfa engine's MB/s on the
-#: same workload), not the pre-backend placeholder.
+#: committed BENCH_engine.json (Snort, scale 64, 1081 states); baked as
+#: literals so importing the model never reads the filesystem.
 DEFAULT_COST_MODEL = CostModel(
-    ref_base=2.2222,
-    ref_per_active=0.185,
-    bp_base=3.869,
-    bp_per_word=0.1225,
-    ms_per_word=0.1116,
-    dfa_base=0.0691,
-    lz_base=0.099,
-    lz_unsafe_factor=4.2399,
+    ref_base=1.5385,
+    ref_per_active=0.12809,
+    bp_base=0.16992,
+    bp_per_active=0.0023579,
+    dfa_base=0.081261,
+    lz_base=0.11718,
+    lz_miss_share=0.065433,
 )
 
 

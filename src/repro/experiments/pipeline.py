@@ -7,8 +7,8 @@ scenarios.  :class:`AppRun` computes each once and caches it, so a full
 multi-figure sweep touches each expensive stage exactly once per app.
 Stages share what they have in common, too: the baseline AP takes the
 truth run's reports, SpAP and AP–CPU share one hot phase, and each
-network's subset core serves its cost advisory, its DFA compiles and the
-hot phase.
+network's subset core serves its truth and profile runs, its cost
+advisory, its DFA compiles and the hot phase.
 
 Each cache-miss computation runs under the run's :class:`StageTimer`
 (``repro.stats``), so any consumer can ask where the wall time of a
@@ -49,10 +49,9 @@ from ..nfa.determinize import SubsetCore, subset_core
 from ..semant.absint import SemanticFacts, analyze_network_semantics
 from ..semant.predict import StaticPrediction, predict_hot_cold
 from ..sim import Engine, FALLBACK_BACKEND, get_engine, resolve_backend
-from ..sim.compiled import CompiledNetwork, compile_network
 from ..sim.dfa import CompiledDFA, compile_dfa
-from ..sim.lazydfa import CompiledLazyDfa, compile_lazydfa
 from ..sim.engine import run
+from ..sim.lazydfa import CompiledLazyDfa
 from ..sim.result import SimResult
 from ..stats.recorder import StageTimer
 from ..workloads.registry import AppSpec, get_app
@@ -76,7 +75,6 @@ class AppRun:
         self._topology: Optional[NetworkTopology] = None
         self._semantics: Optional[SemanticFacts] = None
         self._static_predictions: Dict[int, StaticPrediction] = {}
-        self._compiled: Optional[CompiledNetwork] = None
         # One subset core per network this run advises or compiles (its own
         # network and its partitions), keyed by identity; the entry holds
         # the network so the id stays unique.
@@ -143,19 +141,22 @@ class AppRun:
         return self._static_predictions[h]
 
     @property
-    def compiled(self) -> CompiledNetwork:
-        if self._compiled is None:
+    def compiled(self) -> SubsetCore:
+        """This run's network's subset core: the ``bitpacked`` engine's
+        artifact, built under the ``compile`` stage."""
+        network = self.network
+        if id(network) not in self._cores:
             with self._lock:
-                if self._compiled is None:
-                    network = self.network
+                if id(network) not in self._cores:
                     with self.stats.stage("compile"):
-                        self._compiled = compile_network(network)
-        return self._compiled
+                        self.subset_core(network)
+        return self.subset_core(network)
 
     def subset_core(self, network: Network) -> SubsetCore:
         """The one :class:`~repro.nfa.determinize.SubsetCore` of ``network``
-        (this run's network or one of its partitions), shared by the cost
-        advisories, the DFA and lazy-DFA compiles and the hot phase."""
+        (this run's network or one of its partitions), shared by the truth
+        and profile runs, the cost advisories, the DFA and lazy-DFA
+        compiles and the hot phase."""
         entry = self._cores.get(id(network))
         if entry is None:
             with self._lock:
@@ -171,7 +172,7 @@ class AppRun:
         Raises :class:`~repro.sim.dfa.DfaInfeasibleError` when the network
         is not DFA-safe — callers should route selection through
         :meth:`select_backend`, which checks feasibility first and falls
-        back to multistream instead of raising.
+        back to bitpacked instead of raising.
         """
         if self._dfa is None:
             with self._lock:
@@ -319,8 +320,10 @@ class AppRun:
             partitioned, _bins = self.partition(fraction, config)
             hot = self.hot_phase(fraction, config)
             with self.stats.stage("ap_cpu"):
+                core = (self.subset_core(partitioned.cold)
+                        if partitioned.cold.n_states else None)
                 self._ap_cpu[key] = ap_cpu_outcome(
-                    partitioned, hot, self.config.cpu_model
+                    partitioned, hot, self.config.cpu_model, core=core
                 )
         return self._ap_cpu[key]
 
@@ -380,11 +383,13 @@ class AppRun:
                         if backend == "reference":
                             prepared: object = network
                         elif backend == "dfa":
-                            prepared = compile_dfa(network)
+                            prepared = compile_dfa(
+                                network, core=self.subset_core(network)
+                            )
                         elif backend == "lazydfa":
-                            prepared = compile_lazydfa(network)
+                            prepared = CompiledLazyDfa(self.subset_core(network))
                         else:
-                            prepared = compile_network(network)
+                            prepared = self.subset_core(network)
                     self._reduced_prepared[key] = prepared
         return self._reduced_prepared[key]
 
@@ -409,7 +414,7 @@ class AppRun:
         (:meth:`backend_advisory`); an explicit name skips the advisory
         entirely.  The choice is feasibility-checked against the concrete
         network (:meth:`Engine.feasible <repro.sim.Engine.feasible>`):
-        ``auto`` requests fall back to multistream silently, explicit ones
+        ``auto`` requests fall back to bitpacked silently, explicit ones
         raise :class:`~repro.sim.BackendInfeasibleError` unless
         ``allow_fallback=True`` opts into substitution, so the returned
         name is the engine that will actually execute.  An ``auto`` advisory

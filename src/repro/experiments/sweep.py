@@ -115,7 +115,7 @@ def sweep_app(abbr: str, config: ExperimentConfig,
     (DESIGN.md §13); an explicit name forces that engine and *raises*
     :class:`~repro.sim.BackendInfeasibleError` (wrapped in
     :class:`SweepError` by the pool worker) when it cannot run, unless
-    ``backend_fallback`` opts into multistream substitution.  ``None``
+    ``backend_fallback`` opts into bitpacked substitution.  ``None``
     skips execution — the Backend column then shows the advisory's
     recommendation, as before.
 
@@ -222,7 +222,7 @@ def run_sweep(
     (sharing the caller's ``AppRun`` cache).  Rows come back in input order.
     ``backend`` (``"auto"`` or an engine name) additionally executes the
     test input per app on the selected engine — see :func:`sweep_app`;
-    ``backend_fallback`` permits multistream substitution for explicit
+    ``backend_fallback`` permits bitpacked substitution for explicit
     requests that are infeasible on some apps (otherwise those apps fail
     their rows loudly).  ``reduce`` routes those executions through the
     SPAP-R-reduced network.

@@ -16,7 +16,10 @@ and the benchmarks both use it):
    socket only exists once its partition is loaded and warm).
 
 Teardown is polite first (shutdown frames through the router), forceful
-second (terminate + join), and always removes the temp directory.
+second (terminate + join), and always removes the temp directory.  The
+first ``spawn`` in a process also starts that process's ``multiprocessing``
+resource tracker; a grid that started it stops it once its workers are
+gone, so a caller that waits for the grid process finds no stray process.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
+from multiprocessing import resource_tracker
 from typing import Dict, List, Optional
 
 from ..experiments.config import ExperimentConfig, default_config
@@ -85,6 +89,7 @@ class Grid:
         self.processes: Dict[int, object] = {}
         self._workdir: Optional[str] = None
         self._ctx = multiprocessing.get_context("spawn")
+        self._owns_tracker = False
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -93,6 +98,8 @@ class Grid:
         self._workdir = tempfile.mkdtemp(prefix="repro-grid-")
         self.store = build_store(self._requested_apps, self.config,
                                  backend=self.options.backend)
+        # The first spawn below starts the resource tracker unless one runs.
+        self._owns_tracker = not _tracker_running()
         self.shard_map = assign_shards(self.store.names, self.options.workers)
         worker_paths: Dict[int, str] = {}
         for worker_id in range(self.options.workers):
@@ -138,12 +145,20 @@ class Grid:
             await self.router.shutdown_workers()
             await self.router.stop()
             await self.router._shutdown()
+        alive = False
         for process in self.processes.values():
             process.join(timeout=5.0)  # type: ignore[attr-defined]
             if process.is_alive():  # type: ignore[attr-defined]
                 process.terminate()  # type: ignore[attr-defined]
                 process.join(timeout=5.0)  # type: ignore[attr-defined]
+            alive = alive or process.is_alive()  # type: ignore[attr-defined]
         self.processes.clear()
+        if self._owns_tracker and not alive:
+            # The tracker exits once every holder of its pipe has closed it;
+            # with the workers gone that is this process alone.  The stdlib
+            # offers no public way to stop it (same call on 3.9 to 3.13).
+            resource_tracker._resource_tracker._stop()
+            self._owns_tracker = False
         if self._workdir is not None:
             shutil.rmtree(self._workdir, ignore_errors=True)
             self._workdir = None
@@ -154,3 +169,8 @@ class Grid:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
+
+
+def _tracker_running() -> bool:
+    """Whether this process's resource tracker is running (holds its pipe)."""
+    return getattr(resource_tracker._resource_tracker, "_fd", None) is not None

@@ -6,9 +6,9 @@ for one process, useless for a worker pool where each shard must come up
 warm without re-running translation, compilation, subset construction,
 and cost analysis.  This module reifies exactly the artifacts serving
 needs into a :class:`NetworkStore`: a picklable map of
-:class:`StoredApp` entries (network, compiled bit-parallel form, optional
-DFA / lazy-DFA tables, the advisory-selected backend) plus the operating
-point they were built at.
+:class:`StoredApp` entries (network, subset core, optional DFA / lazy-DFA
+tables, the advisory-selected backend) plus the operating point they were
+built at.
 
 A store is built once in the grid parent (:func:`build_store`), sliced
 per worker (:meth:`NetworkStore.partition`), written to disk
@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..experiments.config import ExperimentConfig, default_config
 from ..nfa.automaton import Network
-from ..sim.compiled import CompiledNetwork
+from ..nfa.determinize import SubsetCore
 from ..sim.dfa import CompiledDFA
 from ..sim.lazydfa import CompiledLazyDfa
 from ..workloads.registry import resolve_abbr
@@ -50,8 +50,9 @@ __all__ = [
 
 #: Envelope identifier written at the head of every serialized store.
 STORE_FORMAT = "repro-network-store"
-#: Bumped on any incompatible change to the envelope or entry layout.
-STORE_VERSION = 1
+#: Bumped on any incompatible change to the envelope or entry layout
+#: (2: ``StoredApp.compiled`` holds the network's subset core).
+STORE_VERSION = 2
 
 
 class StoreError(RuntimeError):
@@ -72,10 +73,10 @@ class StoredApp:
     name: str
     backend: str
     network: Network
-    compiled: CompiledNetwork
+    compiled: SubsetCore
     dfa: Optional[CompiledDFA] = None
     lazydfa: Optional[CompiledLazyDfa] = None
-    advised: str = "multistream"
+    advised: str = "bitpacked"
 
 
 @dataclass
@@ -135,7 +136,7 @@ def load_store(path: str, config: Optional[ExperimentConfig] = None) -> NetworkS
             envelope = pickle.load(fh)
     except FileNotFoundError:
         raise StoreError(f"no network store at {path!r}") from None
-    except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
+    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError) as exc:
         raise StoreError(f"corrupt network store at {path!r}: {exc}") from exc
     if not isinstance(envelope, dict) or envelope.get("format") != STORE_FORMAT:
         raise StoreError(f"{path!r} is not a repro network store")

@@ -1,6 +1,6 @@
 """The grid worker process: one match server over one store partition.
 
-A worker is the existing serve stack — micro-batcher, five-engine
+A worker is the existing serve stack — micro-batcher, engine-registry
 dispatch, typed protocol errors — pointed at a slice of the network
 store instead of the lazy pipeline cache.  :func:`worker_main` is
 module-level and :class:`WorkerSpec` is a plain dataclass of primitives,

@@ -12,21 +12,23 @@ states; all-input start states are re-enabled on every transition, and a
 transition that activates reporting NFA states emits those reports at the
 consumed position.
 
-Every subset walk in the package runs through one :class:`SubsetCore`,
+Every NFA step in the package runs through one :class:`SubsetCore`,
 built once per network by :func:`subset_core`: the byte→class map, the
 per-class accept masks, the per-state successor masks and one
 :meth:`SubsetCore.step`.  A subset is a Python big-int (bit ``g`` = global
 state ``g``).  :func:`determinize` walks the subsets depth-first keeping
 table rows; the budgeted explorer (:mod:`repro.cost.explore`) walks them
 breadth-first keeping none; the lazy DFA (:mod:`repro.sim.lazydfa`) steps
-them on demand.  Sharing the core is what makes the explorer's DFA-safety
-verdicts proofs about *this* ``determinize`` rather than about a
-reimplementation that could drift (DESIGN.md §12).
+them on demand; and the NFA engine (:mod:`repro.sim.engine`) steps one
+enabled set per input symbol.  Sharing the core is what makes the
+explorer's DFA-safety verdicts proofs about *this* ``determinize`` rather
+than about a reimplementation that could drift (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -134,12 +136,19 @@ class SubsetCore:
     symbol-set in the network distinguishes them (CAMA's observation: real
     rulesets use a few dozen classes, not 256); classes are numbered in
     the order of their smallest byte.
+
+    ``succ_masks[g]`` holds state ``g``'s successors relative to the first
+    state of its automaton, ``succ_bases[g]``; a step shifts it into place.
+    Automata never share states, so each mask is only as wide as its own
+    automaton and the masks take memory linear in the network, where
+    global-width masks grow with the square of the automaton count.
     """
 
     n_states: int
     class_of: np.ndarray  # (256,) int64
     accept_masks: Tuple[int, ...]  # per class
-    succ_masks: Tuple[int, ...]  # per global state
+    succ_masks: Tuple[int, ...]  # per global state, local to its automaton
+    succ_bases: Tuple[int, ...]  # per global state: its automaton's offset
     always_mask: int  # all-input starts, re-enabled every step
     initial_mask: int  # both start kinds
     report_mask: int
@@ -154,22 +163,26 @@ class SubsetCore:
         ``activated``: the subset enabled after those states matched."""
         nxt = self.always_mask
         succ_masks = self.succ_masks
+        succ_bases = self.succ_bases
         while activated:
-            low = activated & -activated
-            nxt |= succ_masks[low.bit_length() - 1]
-            activated ^= low
+            # Highest bit first: clearing it shrinks the int as it goes.
+            gid = activated.bit_length() - 1
+            activated ^= 1 << gid
+            nxt |= succ_masks[gid] << succ_bases[gid]
         return nxt
 
-    def start_steps(self) -> List[int]:
+    @cached_property
+    def start_steps(self) -> Tuple[int, ...]:
         """Per class, the step of the always-enabled states it activates.
 
         Every reachable subset holds the always-enabled states, so a walk
         steps only the rest of a subset:
         ``step(subset & accept) == step(subset & accept & ~always_mask) |
-        start_steps()[cls]``.  On start-heavy networks (hundreds of
+        start_steps[cls]``.  On start-heavy networks (hundreds of
         all-input rules) that skips most of each step's successor ORs.
+        Computed on first use and kept on the core.
         """
-        return [self.step(self.always_mask & accept) for accept in self.accept_masks]
+        return tuple(self.step(self.always_mask & accept) for accept in self.accept_masks)
 
     def reports(self, activated: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """``(fired, fired_mid)``: the reporting states among ``activated``,
@@ -211,11 +224,18 @@ def subset_core(network: Network) -> SubsetCore:
     accepted = matches[:, representatives][set_of_state].T  # (classes, states)
     reporting = np.array(tables.reporting, dtype=bool)
     eod = np.array(tables.eod, dtype=bool)
+    succ_masks: List[int] = []
+    succ_bases: List[int] = []
+    for base, automaton in zip(network.offsets(), network.automata):
+        for sid in range(automaton.n_states):
+            succ_masks.append(_index_mask(automaton.successors(sid)))
+            succ_bases.append(base)
     return SubsetCore(
         n_states=tables.n_states,
         class_of=np.array(class_of, dtype=np.int64),
         accept_masks=tuple(_bool_mask(row) for row in accepted),
-        succ_masks=tuple(_index_mask(successors) for successors in tables.successors),
+        succ_masks=tuple(succ_masks),
+        succ_bases=tuple(succ_bases),
         always_mask=_index_mask(tables.always),
         initial_mask=_index_mask(tables.initial),
         report_mask=_bool_mask(reporting),
@@ -275,7 +295,7 @@ def determinize(
         core = subset_core(network)
     n_classes = core.n_classes
     step = core.step
-    start_steps = core.start_steps()
+    start_steps = core.start_steps
     moving = ~core.always_mask
     report_mask = core.report_mask
 
@@ -292,7 +312,8 @@ def determinize(
         reps_mid_row: List[Tuple[int, ...]] = [()] * n_classes
         for cls, accept in enumerate(core.accept_masks):
             activated = current & accept
-            target = step(activated & moving) | start_steps[cls]
+            stepping = activated & moving
+            target = step(stepping) | start_steps[cls] if stepping else start_steps[cls]
             index = index_of.get(target)
             if index is None:
                 if len(index_of) >= max_states:

@@ -2,10 +2,9 @@
 
 The deployment face of the reproduction: a long-running asyncio match
 service that accepts framed requests over TCP or a unix socket, coalesces
-concurrent traffic into micro-batches, and executes each batch as one
-multi-stream lock-step dispatch (:func:`repro.sim.multistream.run_multi`)
-— so K in-flight requests cost one ``(K, n_words)`` bit-matrix pass
-instead of K scalar runs.
+concurrent traffic into micro-batches, and executes each batch in an
+executor thread as one walk per stream through the application's engine
+— so K in-flight requests cost one executor hop instead of K.
 
 Layers (DESIGN.md §11):
 

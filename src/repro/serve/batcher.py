@@ -1,13 +1,11 @@
-"""Micro-batching coalescer: concurrent requests -> one lock-step batch.
+"""Micro-batching coalescer: concurrent requests -> one executor batch.
 
-The scalar engine pays fixed Python/NumPy dispatch overhead per input
-symbol; the multi-stream engine (:func:`repro.sim.multistream.run_multi`)
-amortizes it across K streams in one ``(K, n_words)`` bit matrix.  This
-module is the piece that turns *traffic* into those batches: requests for
-the same compiled network are held for at most a configurable window, then
-dispatched together through the entry's selected backend
-(:meth:`repro.serve.state.AppEntry.execute_batch` — the lock-step bit
-matrix by default, the table-driven DFA engine when selected).
+This module turns *traffic* into batches: requests for the same compiled
+network are held for at most a configurable window, then dispatched
+together through the entry's selected backend
+(:meth:`repro.serve.state.AppEntry.execute_batch` — one walk per stream,
+on the NFA engine by default or the table-driven DFA engines when
+selected), so a batch pays one executor hop for all of its streams.
 
 Batching policy (DESIGN.md §11):
 
@@ -90,7 +88,7 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Per-application request queues dispatching lock-step batches."""
+    """Per-application request queues dispatching executor batches."""
 
     def __init__(self, policy: Optional[BatchPolicy] = None, *,
                  executor: Optional[concurrent.futures.Executor] = None,

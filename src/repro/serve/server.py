@@ -3,8 +3,8 @@
 One :class:`MatchServer` listens on TCP or a unix socket, decodes frames
 (:mod:`repro.serve.protocol`), resolves applications through the LRU state
 layer (:mod:`repro.serve.state`), and funnels every match request through
-the micro-batcher (:mod:`repro.serve.batcher`) so concurrent traffic rides
-the ``(K, n_words)`` lock-step bit matrix instead of K scalar runs.
+the micro-batcher (:mod:`repro.serve.batcher`) so concurrent traffic shares
+one executor hop per batch.
 
 Connections are handled concurrently and each frame spawns its own task,
 so a single connection may pipeline many requests; replies are serialized
@@ -59,9 +59,9 @@ class ServerOptions:
     max_apps: int = 8
     warmup: bool = True
     allow_shutdown: bool = True
-    #: Batch engine: "multistream" (default), "dfa" (forced where feasible),
-    #: or "auto" (per-app cost advisory) — DESIGN.md §13.
-    backend: str = "multistream"
+    #: Batch engine: "bitpacked" (default), "dfa"/"lazydfa" (forced where
+    #: feasible), or "auto" (per-app cost advisory) — DESIGN.md §13.
+    backend: str = "bitpacked"
     #: Serve SPAP-R-reduced networks (DESIGN.md §15); replies carry
     #: original state ids via the reduction's lifting table.
     reduce: bool = False

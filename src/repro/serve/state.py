@@ -2,9 +2,10 @@
 
 The match server resolves request app names against the workload registry
 (accepting the same aliases as every CLI command) and materializes each
-application's :class:`CompiledNetwork` through the shared ``AppRun``
-pipeline cache — so a server and any in-process experiment code reuse one
-substrate.  On top of that cache this module adds what serving needs:
+application's subset core (and DFA tables, when its backend uses them)
+through the shared ``AppRun`` pipeline cache — so a server and any
+in-process experiment code reuse one substrate.  On top of that cache
+this module adds what serving needs:
 
 * an **LRU** over resident applications (``max_apps``), because a server
   configured to accept the whole registry should not keep 26 compiled
@@ -13,8 +14,8 @@ substrate.  On top of that cache this module adds what serving needs:
   a per-application lock, so the event loop never blocks on a build and
   concurrent first requests compile once;
 * **warmup**: pre-compiling the served apps and pushing a tiny batch
-  through :func:`run_multi` at startup, so the first real request does not
-  pay NumPy's first-dispatch costs.
+  through each entry's engine at startup, so the first real request does
+  not pay first-use costs.
 
 Entries can also be injected directly (:meth:`ServeState.add_network`) to
 serve a hand-built network that is not in the registry — tests use this,
@@ -31,10 +32,10 @@ from typing import Dict, List, Optional
 
 from ..experiments.config import ExperimentConfig, default_config
 from ..nfa.automaton import Network
-from ..sim.compiled import CompiledNetwork, compile_network
-from ..sim.dfa import CompiledDFA, compile_dfa, dfa_feasible, dfa_run
-from ..sim.lazydfa import CompiledLazyDfa, compile_lazydfa, lazydfa_run
-from ..sim.multistream import run_multi
+from ..nfa.determinize import SubsetCore, subset_core
+from ..sim import get_engine
+from ..sim.dfa import CompiledDFA, compile_dfa, dfa_feasible
+from ..sim.lazydfa import CompiledLazyDfa
 from ..sim.result import SimResult
 from ..stats.recorder import StageTimer
 from ..workloads.registry import resolve_abbr
@@ -42,23 +43,26 @@ from .protocol import ErrorCode, ProtocolError
 
 __all__ = ["AppEntry", "ServeState"]
 
+#: Engines a server can batch on (forced), or ``auto`` for the advisory's pick.
+_SERVE_BACKENDS = ("bitpacked", "dfa", "lazydfa", "auto")
+
 
 @dataclass
 class AppEntry:
     """One resident application: its compiled artifacts and request counter.
 
     ``backend`` names the engine batches execute on (DESIGN.md §13):
-    ``multistream`` (the default lock-step bit matrix), ``dfa`` (the
-    table-driven executor, when the network was proven DFA-safe and the
-    server opted in), or ``lazydfa`` (the bounded-subset hybrid,
+    ``bitpacked`` (the default NFA engine on the subset core), ``dfa``
+    (the table-driven executor, when the network was proven DFA-safe and
+    the server opted in), or ``lazydfa`` (the bounded-subset hybrid,
     DESIGN.md §14 — no proof required).  The batcher dispatches through
     :meth:`execute_batch` so it never hard-codes an engine.
     """
 
     name: str
-    compiled: CompiledNetwork
+    compiled: SubsetCore
     requests: int = 0
-    backend: str = "multistream"
+    backend: str = "bitpacked"
     dfa: Optional[CompiledDFA] = None
     lazydfa: Optional[CompiledLazyDfa] = None
     #: SPAP-R reduction artifact when the server runs reduced networks
@@ -68,21 +72,25 @@ class AppEntry:
     #: this module import-light; it is a ``repro.reduce.ReductionResult``.)
     reduction: Optional[object] = None
 
+    @property
+    def prepared(self) -> object:
+        """The artifact :attr:`backend` executes."""
+        if self.backend == "dfa":
+            return self.dfa
+        if self.backend == "lazydfa":
+            return self.lazydfa
+        return self.compiled
+
     def execute_batch(self, streams: List[bytes]) -> List[SimResult]:
         """Run one coalesced batch on this entry's backend (executor-side).
 
-        Neither DFA engine has a lock-step mode — each stream is one
-        independent table walk — but per-symbol cost is so much lower
-        that they still win whenever selected.  The lazy hybrid serializes
-        itself on the artifact's internal lock, so concurrent executor
-        workers are safe.
+        A batch is a series of independent walks, one per stream, through
+        the registered engine.  The lazy hybrid serializes itself on the
+        artifact's internal lock, so concurrent executor workers are safe.
         """
-        if self.backend == "dfa" and self.dfa is not None:
-            results = [dfa_run(self.dfa, stream) for stream in streams]
-        elif self.backend == "lazydfa" and self.lazydfa is not None:
-            results = [lazydfa_run(self.lazydfa, stream) for stream in streams]
-        else:
-            results = run_multi(self.compiled, streams)
+        run = get_engine(self.backend).run
+        prepared = self.prepared
+        results = [run(prepared, stream) for stream in streams]
         if self.reduction is not None:
             lift = self.reduction.lift_result  # type: ignore[attr-defined]
             results = [lift(result) for result in results]
@@ -94,13 +102,15 @@ class ServeState:
 
     def __init__(self, config: Optional[ExperimentConfig] = None, *,
                  apps: Optional[List[str]] = None, max_apps: int = 8,
-                 backend: str = "multistream", reduce: bool = False,
+                 backend: str = "bitpacked", reduce: bool = False,
                  timer: Optional[StageTimer] = None) -> None:
-        if backend not in ("multistream", "dfa", "lazydfa", "auto"):
-            # Serving batches streams, so only streaming engines apply:
-            # forced multistream/dfa/lazydfa, or advisory-driven auto.
+        # "multistream", the name of the former lock-step engine, is still
+        # accepted as a synonym for the default.
+        if backend == "multistream":
+            backend = "bitpacked"
+        if backend not in _SERVE_BACKENDS:
             raise ValueError(
-                f"serve backend must be multistream, dfa, lazydfa, or auto; "
+                f"serve backend must be one of {', '.join(_SERVE_BACKENDS)}; "
                 f"got {backend!r}"
             )
         self.config = config or default_config()
@@ -148,7 +158,7 @@ class ServeState:
         """Inject a hand-built network under ``name`` (embedding/test API).
 
         Injected networks have no registry pipeline (hence no cost
-        advisory), so a non-multistream server backend selects on
+        advisory), so a non-bitpacked server backend selects on
         feasibility alone: ``dfa``/``auto`` take the table engine when the
         network is proven safe, ``lazydfa`` (or ``auto`` on an unsafe
         network) takes the hybrid.  Under ``reduce=True`` the injected
@@ -162,15 +172,15 @@ class ServeState:
                 reduction = reduce_network(network)
             network = reduction.network
         with self.timer.stage("compile_app"):
-            entry = AppEntry(name=name, compiled=compile_network(network),
+            entry = AppEntry(name=name, compiled=subset_core(network),
                              reduction=reduction)
         if self.backend in ("dfa", "auto") and dfa_feasible(network):
             with self.timer.stage("compile_dfa"):
-                entry.dfa = compile_dfa(network)
+                entry.dfa = compile_dfa(network, core=entry.compiled)
             entry.backend = "dfa"
         elif self.backend in ("lazydfa", "auto"):
             with self.timer.stage("compile_lazydfa"):
-                entry.lazydfa = compile_lazydfa(network)
+                entry.lazydfa = CompiledLazyDfa(entry.compiled)
             entry.backend = "lazydfa"
         self._remember(name, entry)
         return entry
@@ -204,15 +214,14 @@ class ServeState:
     def _materialize(self, canonical: str) -> AppEntry:
         """Blocking compile through the pipeline cache (executor-side).
 
-        With a non-multistream server backend the entry's engine is
+        With a non-bitpacked server backend the entry's engine is
         resolved through the pipeline's advisory-driven selection
         (``AppRun.select_backend``): ``auto`` takes the cost advisory's
         recommendation, an explicit ``dfa``/``lazydfa`` forces that engine
         — both feasibility-checked.  Serving's documented contract is
         availability over strictness, so selection runs with
         ``allow_fallback=True``: an infeasible forced engine lands back on
-        multistream, serving's lock-step default, instead of failing the
-        request.
+        bitpacked, serving's default, instead of failing the request.
         """
         from ..experiments.pipeline import get_run
         from ..experiments.sweep import DEFAULT_PROFILE_FRACTION
@@ -220,11 +229,11 @@ class ServeState:
         run = get_run(canonical, self.config)
         reduction = run.reduced if self.reduce else None
         with self.timer.stage("compile_app"):
-            compiled = (run.reduced_prepared_for("multistream") if self.reduce
+            compiled = (run.reduced_prepared_for("bitpacked") if self.reduce
                         else run.compiled)
         entry = AppEntry(name=canonical, compiled=compiled,
                          reduction=reduction)
-        if self.backend != "multistream":
+        if self.backend != "bitpacked":
             name, _engine = run.select_backend(
                 self.backend, DEFAULT_PROFILE_FRACTION, allow_fallback=True,
                 reduce=self.reduce,
@@ -280,8 +289,8 @@ class ServeState:
     def warmup(self, names: Optional[List[str]] = None,
                batch_size: int = 4) -> List[str]:
         """Compile ``names`` (default: the allowed list) and push one tiny
-        batch through the multi-stream engine, so the first real request
-        hits warmed dispatch paths.  Returns the warmed canonical names."""
+        batch through each entry's engine, so the first real request hits
+        warmed paths.  Returns the warmed canonical names."""
         targets = names if names is not None else (self.allowed or [])
         warmed = []
         for name in targets:

@@ -1,9 +1,9 @@
-"""Functional NFA simulation: compiled arrays, fast engines, reference engine.
+"""Functional NFA simulation: the subset-core engine, DFAs, reference engine.
 
 Besides the individual engine entry points, this package defines the
 pluggable :class:`Engine` interface (DESIGN.md §13): every execution
-backend — the set-based reference engine, the bit-packed scalar engine,
-the multi-stream lock-step engine, the table-driven DFA engine, and the
+backend — the set-based reference engine, the bit-parallel NFA engine on
+the network's subset core, the table-driven DFA engine, and the
 bounded-subset lazy-DFA hybrid — registered in :data:`ENGINES` under the
 same canonical names the cost
 model's advisories use (``repro.cost.model.BACKENDS``; the registries are
@@ -11,7 +11,7 @@ pinned to each other by a test rather than an import, keeping this package
 import-cycle-free).  Callers that hold a per-partition
 ``BackendAdvisory`` can turn "the model predicts ``dfa`` wins here" into
 an actual ``dfa`` execution via :func:`get_engine` /
-:func:`resolve_backend`, with automatic fallback to ``multistream`` for
+:func:`resolve_backend`, with automatic fallback to ``bitpacked`` for
 ``auto`` requests when the choice is infeasible for the concrete network —
 explicit requests fail loudly instead (:class:`BackendInfeasibleError`).
 """
@@ -19,7 +19,7 @@ explicit requests fail loudly instead (:class:`BackendInfeasibleError`).
 from typing import Callable, Dict, Optional, Tuple
 
 from ..nfa.automaton import Network
-from .compiled import CompiledNetwork, compile_network
+from ..nfa.determinize import SubsetCore, subset_core
 from .dfa import (
     CompiledDFA,
     DfaInfeasibleError,
@@ -38,19 +38,17 @@ from .lazydfa import (
     lazydfa_run,
 )
 from .matrix import MatrixNetwork, matrix_compile, matrix_run
-from .multistream import run_multi
 from .reference import reference_run
 from .reports import DecodedReport, decode_reports, reports_by_code
 from .result import Report, SimResult, reports_equal, reports_to_array
 
 __all__ = [
-    "CompiledNetwork",
-    "compile_network",
+    "SubsetCore",
+    "subset_core",
     "EventRunResult",
     "as_input_array",
     "run",
     "run_events",
-    "run_multi",
     "HybridResult",
     "hybrid_run",
     "reference_run",
@@ -89,7 +87,7 @@ class BackendInfeasibleError(RuntimeError):
 
     Raised by :func:`resolve_backend` instead of silently substituting
     :data:`FALLBACK_BACKEND`: an operator who typed ``--backend dfa``
-    deserves an error, not a quiet multistream run.  ``auto`` requests
+    deserves an error, not a quiet bitpacked run.  ``auto`` requests
     (and callers that opt in via ``allow_fallback=True``) keep the
     fallback behavior.
     """
@@ -100,8 +98,8 @@ class Engine:
 
     An engine names itself, answers whether it can run a concrete network
     (``feasible``), turns a network into its executable artifact once
-    (``prepare`` — a compiled bit matrix, a DFA table, or the network
-    itself), and executes a prepared artifact over one input stream
+    (``prepare`` — a subset core, a DFA table, or the network itself),
+    and executes a prepared artifact over one input stream
     (``run``), returning a :class:`SimResult` whose reports are
     bit-identical to every other engine's.  ``streaming_only`` engines
     consume a contiguous symbol stream and cannot host event-driven
@@ -156,11 +154,6 @@ def _bitpacked_execute(prepared, input_data, *, track_enabled: bool = False):
     return run(prepared, input_data, track_enabled=track_enabled)
 
 
-def _multistream_execute(prepared, input_data, *, track_enabled: bool = False):
-    (result,) = run_multi(prepared, [input_data], track_enabled=track_enabled)
-    return result
-
-
 #: Canonical backend registry.  Keys must match
 #: ``repro.cost.model.BACKENDS`` exactly (test-pinned).
 ENGINES: Dict[str, Engine] = {
@@ -171,14 +164,8 @@ ENGINES: Dict[str, Engine] = {
     ),
     "bitpacked": Engine(
         "bitpacked",
-        prepare=compile_network,
+        prepare=subset_core,
         execute=_bitpacked_execute,
-    ),
-    "multistream": Engine(
-        "multistream",
-        prepare=compile_network,
-        execute=_multistream_execute,
-        streaming_only=True,
     ),
     "dfa": Engine(
         "dfa",
@@ -197,9 +184,9 @@ ENGINES: Dict[str, Engine] = {
     ),
 }
 
-#: Where infeasible selections land: the throughput backend that is always
-#: available for streaming partitions.
-FALLBACK_BACKEND = "multistream"
+#: Where infeasible selections land: the NFA engine, which runs every
+#: network, streaming or event-driven.
+FALLBACK_BACKEND = "bitpacked"
 
 
 def get_engine(name: str) -> Engine:

@@ -1,8 +1,7 @@
 """Table-driven DFA execution backend: one table lookup per input symbol.
 
-The NFA engines pay per-cycle costs proportional to either the active-state
-count (:mod:`repro.sim.reference`) or the packed vector width
-(:func:`repro.sim.engine.run`, :func:`repro.sim.multistream.run_multi`).
+The NFA engines pay per-cycle costs proportional to the active-state
+count (:mod:`repro.sim.reference`, :func:`repro.sim.engine.run`).
 For partitions the budgeted explorer (:mod:`repro.cost.explore`) proves
 DFA-safe, neither cost is necessary: subset construction collapses every
 enabled set into a single integer state, and execution becomes one dense
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -173,12 +173,6 @@ class CompiledDFA:
         return flat, self.reports_mid, self.reports
 
 
-def _flatten_reports(
-    rows: List[List[Tuple[int, ...]]]
-) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(fired for row in rows for fired in row)
-
-
 def compile_dfa(
     network: Network,
     *,
@@ -236,8 +230,8 @@ def compile_determinized(network: Network, dfa: DFA) -> CompiledDFA:
         n_words=n_words,
         class_of_symbol=dfa.class_of_symbol,
         transitions=transitions,
-        reports=_flatten_reports(dfa.reports),
-        reports_mid=_flatten_reports(dfa.reports_mid),
+        reports=tuple(chain.from_iterable(dfa.reports)),
+        reports_mid=tuple(chain.from_iterable(dfa.reports_mid)),
         subset_masks=subset_masks,
     )
 

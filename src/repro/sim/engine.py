@@ -1,44 +1,44 @@
-"""Fast bit-parallel NFA simulation engine.
+"""The NFA engine: one bit-parallel step loop over a network's subset core.
 
 The engine mirrors the AP datapath cycle by cycle (paper §II-B): the input
-byte selects a row of the accept matrix, an AND with the enabled state vector
-yields the activated states, and the routing matrix (CSR successor table)
-produces the enabled vector for the next cycle.  State vectors are 64-bit
-packed so a cycle costs a handful of word-wide NumPy ops plus work
-proportional to the number of *activated* states, which is small for the
-sparse activity patterns this paper exploits.
+byte selects a row of the accept matrix, an AND with the enabled state
+vector yields the activated states, and the routing matrix ORs their
+successors into the next enabled vector.  Here the vectors are Python
+big-ints (bit ``g`` = global state ``g``) on the network's
+:class:`~repro.nfa.determinize.SubsetCore`: the accept row is the byte's
+class accept mask (CAMA-style class compression) and the routing OR is
+one shifted successor mask per activated state, so a cycle costs work
+proportional to the *activated* states, which is small for the sparse
+activity this paper exploits.  The same core is the lazy DFA's miss path
+and the subset walk of ``determinize`` and the cost explorer
+(DESIGN.md §8).
 
-Hot-loop layout (see DESIGN.md §"Engine performance"): all per-cycle
-buffers are allocated once and reused (``out=`` everywhere, no
-``start_all.copy()`` per cycle); activated-state and report bit extraction
-happens on Python big-ints built straight from the packed words (a single
-``tobytes`` instead of several NumPy calls per cycle); and successor
-propagation uses the dense packed successor-mask matrix
-(:meth:`CompiledNetwork.successor_masks`) — one fancy-index gather plus one
-``bitwise_or.reduce`` — falling back to the CSR expansion for networks too
-large to materialize the matrix.  Report collection is skipped entirely for
-networks with no reporting states (cold partitions).
+Every reachable enabled set holds the all-input start states, so a cycle
+steps only the other activated states and ORs in the class's cached start
+step.
 
-Two entry points:
+Two entry points share the one loop, :func:`_walk`:
 
-* :func:`run` — plain streaming execution (BaseAP mode / baseline AP).
+* :func:`run` — plain streaming execution (BaseAP mode / baseline AP);
 * :func:`run_events` — Algorithm 1: execution driven by the input stream
   *and* a list of (position, state) enable events, with jump-over-idle-input
-  and enable-stall accounting (SpAP mode, also reused by the AP–CPU handler).
+  and enable-stall accounting (SpAP mode, also reused by the AP–CPU
+  handler).
 
-Multi-stream lock-step execution lives in :mod:`repro.sim.multistream`.
+A stream is an event run with no events: when a start-of-data network
+goes quiet, :func:`run` jumps over the idle tail as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import bitops
-from .compiled import CompiledNetwork
-from .result import SimResult, reports_to_array
+from ..nfa.determinize import SubsetCore
+from .result import Report, SimResult, reports_to_array
 
 __all__ = ["run", "run_events", "EventRunResult", "as_input_array"]
 
@@ -73,18 +73,93 @@ def as_input_array(data) -> np.ndarray:
     return np.frombuffer(bytes(data), dtype=np.uint8)
 
 
-def _extract_bits(value: int) -> List[int]:
-    """Indices of the set bits of a non-negative Python int, ascending."""
-    out: List[int] = []
-    while value:
-        low = value & -value
-        out.append(low.bit_length() - 1)
-        value ^= low
-    return out
+def _packed(mask: int, n_states: int) -> np.ndarray:
+    """A big-int state set as the packed uint64 bitset results carry."""
+    n_words = bitops.num_words(max(n_states, 1))
+    return np.frombuffer(mask.to_bytes(n_words * 8, "little"), dtype=np.uint64).copy()
+
+
+def _walk(
+    core: SubsetCore,
+    symbols: np.ndarray,
+    positions: Sequence[int],
+    targets: Sequence[int],
+    *,
+    track: bool,
+    count_stalls: bool,
+) -> Tuple[List[Report], int, int, int, int]:
+    """Step ``core`` over ``symbols`` with enable events (Algorithm 1).
+
+    ``positions``/``targets`` are the events, sorted by position.  Returns
+    ``(reports, ever, consumed, stalls, jumps)``: ``ever`` ORs the enabled
+    set of every consumed cycle when ``track`` is set.
+    """
+    classes: List[int] = core.class_of[symbols].tolist()
+    n = len(classes)
+    moving = ~core.always_mask
+    # Per class: activated states that step, and reporters that may fire
+    # mid-stream and at the last symbol.  One AND each per cycle.
+    steps_of = [accept & moving for accept in core.accept_masks]
+    mid_of = [accept & core.mid_report_mask for accept in core.accept_masks]
+    full_of = [accept & core.report_mask for accept in core.accept_masks]
+    start_steps = core.start_steps
+    succ_masks = core.succ_masks
+    succ_bases = core.succ_bases
+    last = n - 1
+    n_events = len(positions)
+
+    enabled = core.initial_mask
+    ever = 0
+    reports: List[Report] = []
+    append = reports.append
+    i = j = consumed = stalls = jumps = 0
+    while i < n:
+        if not enabled:
+            # Jump operation: skip to where the next event enables a state.
+            while j < n_events and positions[j] < i:
+                j += 1  # events in already-passed positions cannot fire
+            if j >= n_events or positions[j] >= n:
+                jumps += 1  # final jump over the idle tail [i, n)
+                break
+            if positions[j] > i:
+                i = positions[j]
+                jumps += 1
+        # Enable operation: inject all events at this position.
+        simultaneous = 0
+        while j < n_events and positions[j] == i:
+            enabled |= 1 << targets[j]
+            j += 1
+            simultaneous += 1
+        if count_stalls and simultaneous > 1:
+            stalls += simultaneous - 1
+        # Consume symbols up to the next event, or until the machine goes quiet.
+        stop = positions[j] if j < n_events and positions[j] < n else n
+        for position in range(i, stop):
+            if track:
+                ever |= enabled
+            cls = classes[position]
+            hits = enabled & (mid_of[cls] if position != last else full_of[cls])
+            while hits:
+                low = hits & -hits
+                append((position, low.bit_length() - 1))
+                hits ^= low
+            activated = enabled & steps_of[cls]
+            enabled = start_steps[cls]
+            while activated:
+                low = activated & -activated
+                gid = low.bit_length() - 1
+                enabled |= succ_masks[gid] << succ_bases[gid]
+                activated ^= low
+            if not enabled:
+                stop = position + 1
+                break
+        consumed += stop - i
+        i = stop
+    return reports, ever, consumed, stalls, jumps
 
 
 def run(
-    compiled: CompiledNetwork,
+    core: SubsetCore,
     input_data,
     *,
     track_enabled: bool = True,
@@ -95,49 +170,15 @@ def run(
     symbol is consumed — the paper's hot set.
     """
     symbols = as_input_array(input_data)
-    n_words = compiled.n_words
-    enabled = compiled.initial_enabled()
-    active = np.empty(n_words, dtype=np.uint64)
-    scratch = np.empty(n_words, dtype=np.uint64)
-    ever = np.zeros(n_words, dtype=np.uint64) if track_enabled else None
-    accept = compiled.accept
-    start_all = compiled.start_all
-    report_int, mid_report_int = compiled.report_ints()
-    has_reports = report_int != 0
-    succ_masks = compiled.successor_masks()
-    reports: List = []
-    last = int(symbols.size) - 1
-
-    for position, sym in enumerate(symbols.tolist()):
-        if track_enabled:
-            np.bitwise_or(ever, enabled, out=ever)
-        np.bitwise_and(enabled, accept[sym], out=active)
-        active_int = int.from_bytes(active.tobytes(), "little")
-        if active_int:
-            if has_reports:
-                hits = active_int & (report_int if position == last else mid_report_int)
-                while hits:
-                    low = hits & -hits
-                    reports.append((position, low.bit_length() - 1))
-                    hits ^= low
-            if succ_masks is not None:
-                np.bitwise_or.reduce(
-                    succ_masks[_extract_bits(active_int)], axis=0, out=scratch
-                )
-                np.bitwise_or(scratch, start_all, out=enabled)
-            else:
-                succ = compiled.successors_of(bitops.to_indices(active))
-                np.copyto(enabled, start_all)
-                bitops.set_indices(enabled, succ)
-        else:
-            np.copyto(enabled, start_all)
-
+    reports, ever, _consumed, _stalls, _jumps = _walk(
+        core, symbols, (), (), track=track_enabled, count_stalls=False
+    )
     return SimResult(
-        n_states=compiled.n_states,
+        n_states=core.n_states,
         n_symbols=int(symbols.size),
         cycles=int(symbols.size),
         reports=reports_to_array(reports),
-        ever_enabled=ever if track_enabled else np.zeros(n_words, dtype=np.uint64),
+        ever_enabled=_packed(ever, core.n_states),
     )
 
 
@@ -182,7 +223,7 @@ class EventRunResult:
 
 
 def run_events(
-    compiled: CompiledNetwork,
+    core: SubsetCore,
     input_data,
     events: Optional[Sequence] = None,
     *,
@@ -194,95 +235,31 @@ def run_events(
     ``events`` is a sequence of ``(position, global_state)`` pairs sorted by
     position; each enables ``global_state`` just before ``input[position]``
     is matched.  Events at ``position == len(input)`` have nothing left to
-    match and are ignored.  Start states of the compiled network participate
+    match and are ignored.  Start states of the network participate
     normally (a cold partition usually has none).
     """
     symbols = as_input_array(input_data)
-    n = int(symbols.size)
     event_array = reports_to_array(events if events is not None else [])
     positions = event_array[:, 0]
     targets = event_array[:, 1]
-    n_events = int(positions.size)
-    if n_events:
+    if positions.size:
         if positions.min() < 0:
             raise ValueError(f"negative event position: {int(positions.min())}")
-        if targets.min() < 0 or targets.max() >= compiled.n_states:
+        if targets.min() < 0 or targets.max() >= core.n_states:
             raise ValueError(
-                f"event targets must be in [0, {compiled.n_states}); "
+                f"event targets must be in [0, {core.n_states}); "
                 f"got {int(targets.min())}..{int(targets.max())}"
             )
-
-    n_words = compiled.n_words
-    enabled = compiled.initial_enabled()
-    active = np.empty(n_words, dtype=np.uint64)
-    scratch = np.empty(n_words, dtype=np.uint64)
-    ever = np.zeros(n_words, dtype=np.uint64)
-    accept = compiled.accept
-    start_all = compiled.start_all
-    report_int, mid_report_int = compiled.report_ints()
-    has_reports = report_int != 0
-    succ_masks = compiled.successor_masks()
-    reports: List = []
-    syms = symbols.tolist()
-    positions_list = positions.tolist()
-    targets_list = targets.tolist()
-    last = n - 1
-
-    i = 0
-    j = 0
-    consumed = 0
-    stalls = 0
-    jumps = 0
-    while i < n:
-        if not enabled.any():
-            # Jump operation: skip to where the next event enables a state.
-            while j < n_events and positions_list[j] < i:
-                j += 1  # events in already-passed positions cannot fire
-            if j >= n_events or positions_list[j] >= n:
-                jumps += 1  # final jump over the idle tail [i, n)
-                break
-            if positions_list[j] > i:
-                i = positions_list[j]
-                jumps += 1
-        # Enable operation: inject all events at this position.
-        simultaneous = 0
-        while j < n_events and positions_list[j] == i:
-            bitops.set_indices(enabled, [targets_list[j]])
-            j += 1
-            simultaneous += 1
-        if count_stalls and simultaneous > 1:
-            stalls += simultaneous - 1
-        if track_enabled:
-            np.bitwise_or(ever, enabled, out=ever)
-        np.bitwise_and(enabled, accept[syms[i]], out=active)
-        active_int = int.from_bytes(active.tobytes(), "little")
-        if active_int:
-            if has_reports:
-                hits = active_int & (report_int if i == last else mid_report_int)
-                while hits:
-                    low = hits & -hits
-                    reports.append((i, low.bit_length() - 1))
-                    hits ^= low
-            if succ_masks is not None:
-                np.bitwise_or.reduce(
-                    succ_masks[_extract_bits(active_int)], axis=0, out=scratch
-                )
-                np.bitwise_or(scratch, start_all, out=enabled)
-            else:
-                succ = compiled.successors_of(bitops.to_indices(active))
-                np.copyto(enabled, start_all)
-                bitops.set_indices(enabled, succ)
-        else:
-            np.copyto(enabled, start_all)
-        consumed += 1
-        i += 1
-
+    reports, ever, consumed, stalls, jumps = _walk(
+        core, symbols, positions.tolist(), targets.tolist(),
+        track=track_enabled, count_stalls=count_stalls,
+    )
     return EventRunResult(
-        n_states=compiled.n_states,
-        n_symbols=n,
+        n_states=core.n_states,
+        n_symbols=int(symbols.size),
         consumed_cycles=consumed,
         stall_cycles=stalls,
         jumps=jumps,
         reports=reports_to_array(reports),
-        ever_enabled=ever,
+        ever_enabled=_packed(ever, core.n_states),
     )

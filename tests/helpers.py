@@ -1,6 +1,6 @@
 """Shared test utilities: random network generation, hypothesis strategies,
-loop-based references for subset construction, and the NFA-engine
-reference for the SpAP hot phase."""
+loop-based references for subset construction, and the reference-engine
+references for the SpAP hot phase and cold side."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from repro.core.scenarios import HotPhase
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.determinize import DFA, DeterminizeError, flatten_network
 from repro.nfa.symbolset import ALPHABET_SIZE, SymbolSet
-from repro.sim.compiled import compile_network
 from repro.sim.dfa import compile_determinized, dfa_run
-from repro.sim.engine import as_input_array, run
+from repro.sim.engine import as_input_array
+from repro.sim.reference import reference_run
 
 #: A small alphabet keeps random inputs likely to hit transitions.
 SMALL_ALPHABET = b"abcd"
@@ -118,14 +118,37 @@ def subset_sets(dfa: DFA) -> Tuple[FrozenSet[int], ...]:
     )
 
 
-def nfa_hot_phase(
+def reference_hot_phase(
     partitioned: PartitionedNetwork, data: bytes, hot_bins: List[List[int]]
 ) -> HotPhase:
-    """BaseAP mode on the bit-packed NFA engine: the reference for the
-    lazy-DFA hot phase of ``repro.core.scenarios.run_hot_phase``."""
+    """BaseAP mode on the reference engine: the independent reference for
+    the lazy-DFA hot phase of ``repro.core.scenarios.run_hot_phase``."""
     symbols = as_input_array(data)
-    result = run(compile_network(partitioned.hot), symbols, track_enabled=False)
-    return HotPhase.from_reports(partitioned, result.reports, symbols, hot_bins)
+    reports = reference_run(partitioned.hot, symbols).reports
+    return HotPhase.from_reports(partitioned, reports, symbols, hot_bins)
+
+
+def reference_cold_reports(partitioned: PartitionedNetwork, hot: HotPhase) -> np.ndarray:
+    """The cold side's reports in parent ids: the reference engine in events
+    mode, driven by the hot phase's enable events."""
+    reports = reference_run(partitioned.cold, hot.symbols, hot.events.tolist()).reports
+    reports = reports.copy()
+    if reports.size:
+        reports[:, 1] = partitioned.cold_to_parent[reports[:, 1]]
+    return reports
+
+
+def full_alphabet_network(rng: random.Random) -> Network:
+    """A random network whose symbol sets are random ranges and masks over
+    all 256 bytes, so the byte classes are many and irregular."""
+    network = random_network(rng)
+    for _gid, _automaton, state in network.global_states():
+        if rng.random() < 0.5:
+            low = rng.randrange(ALPHABET_SIZE)
+            state.symbol_set = SymbolSet.from_ranges((low, rng.randint(low, 255)))
+        else:
+            state.symbol_set = SymbolSet(rng.getrandbits(ALPHABET_SIZE))
+    return network
 
 
 # -- loop references for repro.nfa.determinize ---------------------------------

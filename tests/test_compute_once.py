@@ -1,11 +1,12 @@
 """Each offline fact is computed once per pipeline run.
 
 A cold ``sweep_app(abbr, backend="auto")``, after the ``AppRun`` stages in
-the order ``perfbench/offline.py`` calls them, builds one subset core per
-advised network, explores subsets only inside the cost analysis, runs one
-hot phase and one whole-network NFA simulation over the test input (the
-truth run).  The shortcuts this relies on are checked against the work they
-skip: the ``auto`` selection that trusts the advisory against the explicit
+the order ``perfbench/offline.py`` calls them, builds each network's subset
+core once (every advised network, and the SpAP cold batches it simulates),
+explores subsets only inside the cost analysis, runs one hot phase and one
+whole-network NFA simulation over the test input (the truth run).  The
+shortcuts this relies on are checked against the work they skip: the
+``auto`` selection that trusts the advisory against the explicit
 feasibility check, and the hot advisory reused from the parent's against a
 fresh one.
 """
@@ -123,7 +124,9 @@ def test_cold_sweep_computes_each_fact_once(abbr, monkeypatch, fresh_cache):
         ["network", "hot"] if abbr == "EM" else ["network", "hot", "cold"]
     )
 
-    assert Counter(cores) == Counter(id(network) for network in advised)
+    built = Counter(cores)
+    assert max(built.values()) == 1
+    assert all(built[id(network)] == 1 for network in advised)
     assert explorations == [True] * len(advised)
     assert feasibility == []
     assert hot_phases == [1]
@@ -146,6 +149,15 @@ def test_shortcuts_match_the_work_they_skip(abbr):
     if partitioned.cold.n_states == 0:
         fresh = advise_network(partitioned.hot, partition="hot", horizon=CFG.input_len)
         assert run.cost_outcome(FRACTION).cost.advisory("hot") == fresh
+
+
+def test_compiled_is_the_run_networks_core():
+    """The bitpacked engine's artifact is the core every other consumer of
+    the run's network shares, built once under the ``compile`` stage."""
+    run = AppRun(get_app("Bro217"), CFG)
+    assert run.compiled is run.subset_core(run.network)
+    assert run.compiled is run.prepared_for("bitpacked")
+    assert run.stats.calls("compile") == 1
 
 
 def test_auto_at_another_budget_still_checks_feasibility():

@@ -160,11 +160,8 @@ class TestCostModel:
             DEFAULT_COST_MODEL.ref_per_active, rel=1e-2
         )
         assert solved.bp_base == pytest.approx(DEFAULT_COST_MODEL.bp_base, rel=1e-2)
-        assert solved.bp_per_word == pytest.approx(
-            DEFAULT_COST_MODEL.bp_per_word, rel=1e-2
-        )
-        assert solved.ms_per_word == pytest.approx(
-            DEFAULT_COST_MODEL.ms_per_word, rel=1e-2
+        assert solved.bp_per_active == pytest.approx(
+            DEFAULT_COST_MODEL.bp_per_active, rel=1e-2
         )
 
     def test_calibration_point_is_recovered(self):
@@ -187,9 +184,6 @@ class TestCostModel:
         throughput = document["throughput_mb_s"]
         assert costs["reference"] == pytest.approx(1 / throughput["reference"], rel=0.02)
         assert costs["bitpacked"] == pytest.approx(1 / throughput["bitpacked"], rel=0.02)
-        assert costs["multistream"] == pytest.approx(
-            1 / throughput["multistream_aggregate"], rel=0.02
-        )
 
     def _features(self, **overrides):
         base = dict(
@@ -201,8 +195,17 @@ class TestCostModel:
 
     def test_event_driven_disables_streaming_backends(self):
         costs = DEFAULT_COST_MODEL.predict(self._features(event_driven=True))
-        assert costs["multistream"] is None and costs["dfa"] is None
+        assert costs["dfa"] is None and costs["lazydfa"] is None
         assert costs["reference"] is not None and costs["bitpacked"] is not None
+
+    def test_unproven_lazydfa_pays_a_share_of_nfa_steps(self):
+        model = DEFAULT_COST_MODEL
+        unsafe = model.predict(self._features(dfa_safe=False, dfa_states=None))
+        assert unsafe["lazydfa"] == pytest.approx(
+            model.lz_base + model.lz_miss_share * unsafe["bitpacked"]
+        )
+        assert unsafe["lazydfa"] < unsafe["bitpacked"]
+        assert model.predict(self._features())["lazydfa"] == pytest.approx(model.lz_base)
 
     def test_dfa_requires_proof_and_table_fit(self):
         assert DEFAULT_COST_MODEL.predict(
@@ -214,16 +217,18 @@ class TestCostModel:
             DEFAULT_COST_MODEL.dfa_base
         )
 
-    def test_sparse_activity_favors_reference(self):
+    def test_sparse_activity_favors_bitpacked(self):
+        """With nothing active both NFA engines pay only their fixed
+        per-cycle cost, and the subset-core walk's is the smaller."""
         sparse = DEFAULT_COST_MODEL.predict(
             self._features(hot_fraction=0.0, n_states=1024, n_words=16,
                            event_driven=True)
         )
-        assert sparse["reference"] < sparse["bitpacked"]
+        assert sparse["bitpacked"] < sparse["reference"]
 
     def test_rank_backends_orders_and_breaks_ties_canonically(self):
         ranked = rank_backends(
-            {"reference": 2.0, "bitpacked": 1.0, "multistream": None, "dfa": 1.0}
+            {"reference": 2.0, "bitpacked": 1.0, "lazydfa": None, "dfa": 1.0}
         )
         assert [name for name, _cost in ranked] == ["bitpacked", "dfa", "reference"]
 
@@ -292,7 +297,7 @@ class TestCostApp:
         outcome = cost_app("HM", _CONFIG)
         cold = outcome.cost.advisory("cold")
         if cold is not None:  # empty cold partitions are skipped
-            assert cold.costs["multistream"] is None
+            assert cold.costs["lazydfa"] is None
             assert cold.costs["dfa"] is None
 
     def test_unknown_app_raises(self):

@@ -351,7 +351,7 @@ class TestRegistryApps:
 
     def test_auto_selects_lazydfa_on_dfa_unsafe_app(self):
         # Acceptance pin: on a DFA-unsafe streaming app the calibrated
-        # cost model must rank the hybrid ahead of multistream, and
+        # cost model must rank the hybrid ahead of bitpacked, and
         # --backend auto must follow that ranking (DESIGN.md §14).
         app_run = get_run("LV", _CONFIG)
         assert not dfa_feasible(app_run.network)

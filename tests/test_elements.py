@@ -7,7 +7,7 @@ from repro.nfa.build import literal_chain
 from repro.nfa.elements import Counter, CounterMode, ElementNetwork, Gate, GateKind
 from repro.nfa.regex import compile_regex
 from repro.nfa.symbolset import SymbolSet
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.sim.hybrid import element_report_id, hybrid_run
 
 
@@ -218,7 +218,7 @@ class TestHybridMatchesPlainEngine:
         network.add(compile_regex("a(b|c)+d", name="r"))
         wrapped = ElementNetwork(network)
         data = b"abcbd abd xacd"
-        plain = run(compile_network(network), data)
+        plain = run(subset_core(network), data)
         hybrid = hybrid_run(wrapped, data)
         assert plain.reports.tolist() == hybrid.reports.tolist()
 
@@ -246,6 +246,6 @@ class TestHybridMatchesPlainEngine:
         wrapped.connect_enable(counter, 2)
 
         data = b"aaab"
-        plain = run(compile_network(expanded), data)
+        plain = run(subset_core(expanded), data)
         hybrid = hybrid_run(wrapped, data)
         assert plain.reports[:, 0].tolist() == hybrid.reports[:, 0].tolist() == [3]

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import bitops
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.build import literal_chain
 from repro.nfa.symbolset import SymbolSet
-from repro.sim import compile_network, reference_run, run, run_events
+from repro.sim import reference_run, run, run_events, subset_core
 from repro.sim.result import reports_equal
 
 from helpers import input_lengths, random_input, random_network, seeds
@@ -28,45 +27,45 @@ class TestFastEngineBasics:
         from repro.nfa.regex import compile_regex
 
         network = _single(compile_regex("a((bc)|(cd)+)f"))
-        result = run(compile_network(network), b"abcf")
+        result = run(subset_core(network), b"abcf")
         assert result.reports.shape[0] == 1
         assert result.reports[0, 0] == 3
 
     def test_no_match(self):
         network = _single(literal_chain(b"abc"))
-        result = run(compile_network(network), b"xyz")
+        result = run(subset_core(network), b"xyz")
         assert result.reports.size == 0
 
     def test_overlapping_matches(self):
         network = _single(literal_chain(b"aa"))
-        result = run(compile_network(network), b"aaaa")
+        result = run(subset_core(network), b"aaaa")
         assert result.reports[:, 0].tolist() == [1, 2, 3]
 
     def test_empty_input(self):
         network = _single(literal_chain(b"abc"))
-        result = run(compile_network(network), b"")
+        result = run(subset_core(network), b"")
         assert result.cycles == 0
         assert result.reports.size == 0
         assert result.hot_count() == 0
 
     def test_cycles_equal_input_length(self):
         network = _single(literal_chain(b"ab"))
-        assert run(compile_network(network), b"qwerty").cycles == 6
+        assert run(subset_core(network), b"qwerty").cycles == 6
 
     def test_start_of_data_only_matches_at_zero(self):
         network = _single(literal_chain(b"ab", start=StartKind.START_OF_DATA))
-        result = run(compile_network(network), b"abab")
+        result = run(subset_core(network), b"abab")
         assert result.reports[:, 0].tolist() == [1]
 
     def test_hot_set_includes_starts(self):
         network = _single(literal_chain(b"abc"))
-        result = run(compile_network(network), b"zzz")
+        result = run(subset_core(network), b"zzz")
         assert result.hot_indices().tolist() == [0]
         assert result.hot_fraction() == pytest.approx(1 / 3)
 
     def test_hot_set_grows_with_matching_prefix(self):
         network = _single(literal_chain(b"abc"))
-        result = run(compile_network(network), b"abz")
+        result = run(subset_core(network), b"abz")
         # 'a' activates s0 enabling s1; 'b' activates s1 enabling s2.
         assert result.hot_indices().tolist() == [0, 1, 2]
 
@@ -78,7 +77,7 @@ class TestEquivalenceWithReference:
         rng = random.Random(seed)
         network = random_network(rng)
         data = random_input(rng, length)
-        fast = run(compile_network(network), data)
+        fast = run(subset_core(network), data)
         ref = reference_run(network, data)
         assert reports_equal(fast.reports, ref.reports)
         assert np.array_equal(fast.ever_enabled, ref.ever_enabled)
@@ -89,7 +88,7 @@ class TestEquivalenceWithReference:
         rng = random.Random(seed)
         network = random_network(rng, start=StartKind.START_OF_DATA)
         data = random_input(rng, length)
-        fast = run(compile_network(network), data)
+        fast = run(subset_core(network), data)
         ref = reference_run(network, data)
         assert reports_equal(fast.reports, ref.reports)
 
@@ -110,14 +109,14 @@ class TestRunEvents:
 
     def test_no_events_consumes_nothing(self):
         network = self._cold_chain()
-        outcome = run_events(compile_network(network), b"abcabc", [])
+        outcome = run_events(subset_core(network), b"abcabc", [])
         assert outcome.consumed_cycles == 0
         assert outcome.total_cycles == 0
         assert outcome.reports.size == 0
 
     def test_jump_skips_idle_prefix(self):
         network = self._cold_chain()
-        outcome = run_events(compile_network(network), b"zzzzabc", [(4, 0)])
+        outcome = run_events(subset_core(network), b"zzzzabc", [(4, 0)])
         assert outcome.jumps == 1
         assert outcome.consumed_cycles == 3  # positions 4, 5, 6
         assert outcome.reports.tolist() == [[6, 2]]
@@ -126,33 +125,33 @@ class TestRunEvents:
         network = self._cold_chain()
         data = b"xxabcxx"
         events = [(2, 0)]
-        fast = run_events(compile_network(network), data, events)
+        fast = run_events(subset_core(network), data, events)
         ref = reference_run(network, data, events=events)
         assert reports_equal(fast.reports, ref.reports)
 
     def test_simultaneous_events_stall(self):
         network = self._cold_chain()
         outcome = run_events(
-            compile_network(network), b"abc", [(0, 0), (0, 1), (0, 2)]
+            subset_core(network), b"abc", [(0, 0), (0, 1), (0, 2)]
         )
         assert outcome.stall_cycles == 2  # 3 simultaneous enables -> 2 stalls
 
     def test_stalls_can_be_disabled(self):
         network = self._cold_chain()
         outcome = run_events(
-            compile_network(network), b"abc", [(0, 0), (0, 1)], count_stalls=False
+            subset_core(network), b"abc", [(0, 0), (0, 1)], count_stalls=False
         )
         assert outcome.stall_cycles == 0
 
     def test_event_beyond_input_ignored(self):
         network = self._cold_chain()
-        outcome = run_events(compile_network(network), b"abc", [(3, 0)])
+        outcome = run_events(subset_core(network), b"abc", [(3, 0)])
         assert outcome.consumed_cycles == 0
         assert outcome.reports.size == 0
 
     def test_jump_ratio(self):
         network = self._cold_chain()
-        outcome = run_events(compile_network(network), b"zzzzzzza", [(7, 0)])
+        outcome = run_events(subset_core(network), b"zzzzzzza", [(7, 0)])
         assert outcome.consumed_cycles == 1
         assert outcome.jump_ratio() == pytest.approx(7 / 8)
 
@@ -168,41 +167,52 @@ class TestRunEvents:
             for _ in range(rng.randint(0, 5))
             if length > 0
         )
-        fast = run_events(compile_network(network), data, events)
+        fast = run_events(subset_core(network), data, events)
         ref = reference_run(network, data, events=events)
         assert reports_equal(fast.reports, ref.reports)
 
 
 class TestCompiledNetwork:
+    """The engine's compiled form: the network's subset core."""
+
     def test_accept_matrix_shape(self):
         network = _single(literal_chain(b"ab"))
-        compiled = compile_network(network)
-        assert compiled.accept.shape == (256, compiled.n_words)
+        compiled = subset_core(network)
+        assert compiled.class_of.shape == (256,)
+        # 'a', 'b' and every other byte: three classes, one accept mask each.
+        assert len(compiled.accept_masks) == compiled.n_classes == 3
 
     def test_accept_matrix_contents(self):
         network = _single(literal_chain(b"ab"))
-        compiled = compile_network(network)
-        assert bitops.to_indices(compiled.accept[ord("a")]).tolist() == [0]
-        assert bitops.to_indices(compiled.accept[ord("b")]).tolist() == [1]
+        compiled = subset_core(network)
+        assert compiled.accept_masks[compiled.class_of[ord("a")]] == 0b01
+        assert compiled.accept_masks[compiled.class_of[ord("b")]] == 0b10
+        assert compiled.accept_masks[compiled.class_of[ord("z")]] == 0
 
     def test_csr_successors(self):
         network = _single(literal_chain(b"abc"))
-        compiled = compile_network(network)
-        assert compiled.successors_of(np.array([0])).tolist() == [1]
-        assert compiled.successors_of(np.array([0, 1])).tolist() == [1, 2]
-        assert compiled.successors_of(np.array([2])).size == 0
+        compiled = subset_core(network)
+        moving = ~compiled.always_mask
+        assert compiled.step(0b001) & moving == 0b010
+        assert compiled.step(0b011) & moving == 0b110
+        assert compiled.step(0b100) & moving == 0
 
     def test_global_id_offsets(self):
         network = Network("two")
         network.add(literal_chain(b"ab"))
         network.add(literal_chain(b"cd"))
-        compiled = compile_network(network)
-        # Second automaton's head accepts 'c' and is state 2.
-        assert bitops.to_indices(compiled.accept[ord("c")]).tolist() == [2]
-        assert compiled.successors_of(np.array([2])).tolist() == [3]
+        compiled = subset_core(network)
+        # Second automaton's head accepts 'c' and is state 2; its successor
+        # mask is local to the automaton and shifted into place at use.
+        assert compiled.accept_masks[compiled.class_of[ord("c")]] == 1 << 2
+        assert compiled.succ_masks[2] == 0b10 and compiled.succ_bases[2] == 2
+        assert compiled.step(1 << 2) & ~compiled.always_mask == 1 << 3
 
     def test_report_codes(self):
+        from repro.sim import decode_reports
+
         network = _single(literal_chain(b"ab", report_code="R1"))
-        compiled = compile_network(network)
-        assert compiled.report_codes[1] == "R1"
-        assert compiled.report_codes[0] is None
+        compiled = subset_core(network)
+        assert compiled.report_mask == 0b10
+        (decoded,) = decode_reports(network, run(compiled, b"xab").reports)
+        assert decoded.code == "R1" and decoded.position == 2

@@ -1,67 +1,63 @@
 """Cross-engine equivalence: all engines report bit-identically.
 
-The execution paths — the pure-Python reference, the bit-packed scalar
-engine, the boolean-matrix engine, the multi-stream lock-step engine, the
-table-driven DFA engine, and the bounded-subset lazy-DFA hybrid —
-implement the same homogeneous-NFA semantics through completely different
-datapaths.  These property tests pin them to each other on random
-networks (cyclic, eod reporters, multiple automata) and random inputs,
-including both internal dispatch paths of the multi-stream engine and the
-hybrid under adversarially tiny LRU caps (capacity 1 and 2, where every
-transition evicts and the fallback path carries the run); the ``dfa`` arm
-additionally sweeps every DFA-safe registry application at the standard
-bench scale.  Degenerate inputs — empty and single-symbol — get explicit
-parity arms across every registered engine (reports *and* witness masks).
+The execution paths — the pure-Python reference, the NFA engine on the
+subset core (``bitpacked``), the boolean-matrix engine, the table-driven
+DFA engine, and the bounded-subset lazy-DFA hybrid — implement the same
+homogeneous-NFA semantics.  ``bitpacked``, ``dfa`` and ``lazydfa`` share
+one subset core, so every arm here compares against ``reference_run``,
+the one engine that does not.  These property tests pin every registered
+engine to it on random networks (cyclic, eod reporters, multiple
+automata), on networks over the full 256-byte alphabet, and on
+start-of-data networks that go quiet (where the NFA engine jumps over the
+idle tail), plus the hybrid under adversarially tiny LRU caps (capacity 1
+and 2, where every transition evicts and the fallback path carries the
+run).  Degenerate inputs — empty and single-symbol — get explicit parity
+arms across every registered engine (reports *and* witness masks).
 """
 
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from repro import bitops
+from repro.nfa.automaton import StartKind
 from repro.reduce import reduce_network
 from repro.sim import (
     ENGINES,
-    compile_dfa,
     compile_lazydfa,
-    compile_network,
-    dfa_feasible,
-    dfa_run,
     lazydfa_run,
     matrix_compile,
     matrix_run,
     reference_run,
     reports_equal,
     run,
-    run_multi,
+    run_events,
+    subset_core,
 )
-from repro.sim import multistream as ms
 
-from helpers import input_lengths, random_input, random_network, seeds
+from helpers import full_alphabet_network, input_lengths, random_input, random_network, seeds
 
 
-class _forced_path:
-    """Pin run_multi to its big-int or packed-word internal path.
-
-    A plain context manager (not the ``monkeypatch`` fixture) so it can be
-    used inside hypothesis tests, which forbid function-scoped fixtures.
-    """
-
-    def __init__(self, path):
-        self.path = path
-
-    def __enter__(self):
-        self.saved = (ms._BIGINT_WORD_LIMIT, ms._BIGINT_STREAM_LIMIT)
-        if self.path == "bigint":
-            ms._BIGINT_WORD_LIMIT = ms._BIGINT_STREAM_LIMIT = 1 << 30
-        else:
-            ms._BIGINT_WORD_LIMIT = 0
-
-    def __exit__(self, *exc):
-        ms._BIGINT_WORD_LIMIT, ms._BIGINT_STREAM_LIMIT = self.saved
-        return False
+def _assert_engines_match_reference(network, data):
+    """Every registered engine, the matrix engine and the hybrid at LRU
+    capacities 1 and 2 report, and track the ever-enabled set, exactly as
+    the reference engine does."""
+    expected = reference_run(network, data)
+    results = {
+        name: engine.run_network(network, data, track_enabled=True)
+        for name, engine in ENGINES.items()
+        if engine.feasible(network)
+    }
+    results["matrix"] = matrix_run(matrix_compile(network), data)
+    # Capacity 1 forces an eviction on every distinct subset, so the
+    # fallback/re-entry path carries most of the run.
+    for capacity in (1, 2):
+        lazy = compile_lazydfa(network, capacity=capacity)
+        results[f"lazydfa@{capacity}"] = lazydfa_run(lazy, data, track_enabled=True)
+    for name, got in results.items():
+        assert reports_equal(got.reports, expected.reports), name
+        assert (got.ever_enabled == expected.ever_enabled).all(), name
 
 
 class TestFourEngineEquivalence:
@@ -70,25 +66,7 @@ class TestFourEngineEquivalence:
     def test_reports_identical_across_engines(self, seed, length):
         rng = random.Random(seed)
         network = random_network(rng)
-        data = random_input(rng, length)
-        compiled = compile_network(network)
-
-        expected = reference_run(network, data).reports
-        assert reports_equal(run(compiled, data).reports, expected)
-        assert reports_equal(matrix_run(matrix_compile(network), data).reports, expected)
-        (multi,) = run_multi(compiled, [data])
-        assert reports_equal(multi.reports, expected)
-        if dfa_feasible(network):  # the dfa arm covers every safe network
-            assert reports_equal(dfa_run(compile_dfa(network), data).reports, expected)
-        # The hybrid needs no feasibility gate; capacity 1 forces an
-        # eviction on every distinct subset, so the fallback/re-entry path
-        # carries most of the run.
-        for capacity in (1, 2, None):
-            lazy = (compile_lazydfa(network) if capacity is None
-                    else compile_lazydfa(network, capacity=capacity))
-            assert reports_equal(
-                lazydfa_run(lazy, data).reports, expected
-            ), f"capacity={capacity}"
+        _assert_engines_match_reference(network, random_input(rng, length))
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -96,46 +74,60 @@ class TestFourEngineEquivalence:
         rng = random.Random(seed)
         network = random_network(rng)
         data = random_input(rng, rng.randint(1, 30))
-        compiled = compile_network(network)
+        expected = reference_run(network, data)
+        for name, engine in ENGINES.items():
+            if not engine.feasible(network):
+                continue
+            got = engine.run_network(network, data, track_enabled=True)
+            assert (got.ever_enabled == expected.ever_enabled).all(), name
 
-        scalar = run(compiled, data, track_enabled=True)
-        (multi,) = run_multi(compiled, [data], track_enabled=True)
-        assert (scalar.ever_enabled == multi.ever_enabled).all()
-        matrix = matrix_run(matrix_compile(network), data)
-        assert (scalar.ever_enabled == matrix.ever_enabled).all()
-        if dfa_feasible(network):
-            dfa = dfa_run(compile_dfa(network), data, track_enabled=True)
-            assert (scalar.ever_enabled == dfa.ever_enabled).all()
-        # Witness recovery from cached subset keys must survive eviction
-        # churn: the visited-subset OR is taken per position, not from the
-        # (lossy) cache contents.
-        for capacity in (1, 2, None):
-            lazy = (compile_lazydfa(network) if capacity is None
-                    else compile_lazydfa(network, capacity=capacity))
-            hybrid = lazydfa_run(lazy, data, track_enabled=True)
-            assert (scalar.ever_enabled == hybrid.ever_enabled).all(), (
-                f"capacity={capacity}"
-            )
+    @settings(max_examples=40, deadline=None)
+    @given(seeds, input_lengths)
+    def test_full_alphabet_networks(self, seed, length):
+        """Many irregular byte classes: inputs over all 256 bytes."""
+        rng = random.Random(seed)
+        network = full_alphabet_network(rng)
+        data = bytes(rng.randrange(256) for _ in range(length))
+        _assert_engines_match_reference(network, data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds, input_lengths)
+    def test_start_of_data_networks_that_go_quiet(self, seed, length):
+        """Start-of-data automata die out; the NFA engine then jumps over
+        the idle tail instead of stepping an empty set."""
+        rng = random.Random(seed)
+        network = random_network(rng, cyclic=False, start=StartKind.START_OF_DATA)
+        data = random_input(rng, length)
+        _assert_engines_match_reference(network, data)
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_multistream_both_paths_match_scalar(self, seed):
-        """K ragged streams, each bit-identical to its own scalar run, on
-        both the big-int and packed-word internal paths."""
+        """K ragged streams through one core, each bit-identical to its own
+        reference run on both entry points of the one loop: ``run`` and
+        ``run_events`` with no events."""
         rng = random.Random(seed)
         network = random_network(rng)
-        compiled = compile_network(network)
+        core = subset_core(network)
         streams = [random_input(rng, rng.randint(0, 30)) for _ in range(rng.randint(1, 6))]
-        expected = [run(compiled, s, track_enabled=True) for s in streams]
+        for data in streams:
+            want = reference_run(network, data)
+            streamed = run(core, data, track_enabled=True)
+            evented = run_events(core, data, track_enabled=True)
+            for got in (streamed, evented):
+                assert reports_equal(got.reports, want.reports)
+                assert (got.ever_enabled == want.ever_enabled).all()
+            assert streamed.cycles == len(data)
 
-        for path in ("bigint", "packed"):
-            with _forced_path(path):
-                results = run_multi(compiled, streams, track_enabled=True)
-            assert len(results) == len(streams)
-            for got, want in zip(results, expected):
-                assert reports_equal(got.reports, want.reports), path
-                assert (got.ever_enabled == want.ever_enabled).all(), path
-                assert got.cycles == want.cycles
+    def test_quiet_stream_jumps_over_its_tail(self):
+        rng = random.Random(7)
+        network = random_network(
+            rng, n_automata=2, cyclic=False, start=StartKind.START_OF_DATA
+        )
+        data = b"zz" + random_input(rng, 30)  # no symbol of the small alphabet
+        outcome = run_events(subset_core(network), data)
+        assert outcome.consumed_cycles == 1 and outcome.jumps == 1
+        _assert_engines_match_reference(network, data)
 
 
 class TestReducedNetworkEquivalence:

@@ -18,7 +18,7 @@ from repro.nfa.build import literal_chain
 from repro.nfa.determinize import determinize
 from repro.nfa.mnrl import network_from_mnrl, network_to_mnrl
 from repro.nfa.regex import RegexError, compile_regex
-from repro.sim import compile_network, reference_run, run, run_events
+from repro.sim import reference_run, run, run_events, subset_core
 from repro.sim.matrix import matrix_compile, matrix_run
 from repro.sim.result import reports_equal
 
@@ -37,12 +37,12 @@ def _eod_net(pattern=b"ab"):
 class TestEngineSemantics:
     def test_fires_only_at_last_position(self):
         network = _eod_net(b"ab")
-        result = run(compile_network(network), b"abxab")
+        result = run(subset_core(network), b"abxab")
         assert result.reports.tolist() == [[4, 1]]
 
     def test_silent_when_no_match_at_end(self):
         network = _eod_net(b"ab")
-        result = run(compile_network(network), b"abxx")
+        result = run(subset_core(network), b"abxx")
         assert result.reports.size == 0
 
     def test_all_engines_agree(self):
@@ -50,7 +50,7 @@ class TestEngineSemantics:
         rng = random.Random(4)
         for _ in range(10):
             data = random_input(rng, rng.randint(1, 20), b"abx")
-            fast = run(compile_network(network), data)
+            fast = run(subset_core(network), data)
             ref = reference_run(network, data)
             matrix = matrix_run(matrix_compile(network), data)
             dfa = determinize(network)
@@ -60,14 +60,14 @@ class TestEngineSemantics:
 
     def test_run_events_respects_eod(self):
         network = _eod_net(b"ab")
-        outcome = run_events(compile_network(network), b"abab", [])
+        outcome = run_events(subset_core(network), b"abab", [])
         assert outcome.reports.tolist() == [[3, 1]]
 
     def test_non_eod_states_unaffected(self):
         network = Network("t")
         network.add(literal_chain(b"ab"))
         network.add(_eod_net(b"ab").automata[0].copy("p2"))
-        result = run(compile_network(network), b"abab")
+        result = run(subset_core(network), b"abab")
         # Plain reporter fires at 1 and 3; eod reporter only at 3.
         assert result.reports.tolist() == [[1, 1], [3, 1], [3, 3]]
 
@@ -85,7 +85,7 @@ class TestRegexAnchors:
     def test_full_anchoring_semantics(self):
         network = Network("t")
         network.add(compile_regex("^ab$"))
-        compiled = compile_network(network)
+        compiled = subset_core(network)
         assert run(compiled, b"ab").reports.shape[0] == 1
         assert run(compiled, b"abx").reports.size == 0
         assert run(compiled, b"xab").reports.size == 0
@@ -101,7 +101,7 @@ class TestRegexAnchors:
 
         network = Network("t")
         network.add(compile_regex("ab$"))
-        compiled = compile_network(network)
+        compiled = subset_core(network)
         for text in ("ab", "xab", "abx", "abab", ""):
             ours = run(compiled, text.encode()).reports.shape[0] > 0
             theirs = re.search("ab$", text) is not None

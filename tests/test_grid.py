@@ -140,6 +140,16 @@ class TestNetworkStore:
         with pytest.raises(StoreError):
             load_store(garbage)
 
+    def test_store_naming_a_removed_module_is_typed(self, tmp_path):
+        """A store pickled by an older build can name a module this build
+        no longer has; loading it fails as a StoreError, not ImportError."""
+        stale = str(tmp_path / "stale.bin")
+        with open(stale, "wb") as fh:
+            # protocol-0 pickle of the global repro.sim.no_such_module.Thing
+            fh.write(b"crepro.sim.no_such_module\nThing\np0\n.")
+        with pytest.raises(StoreError, match="corrupt network store"):
+            load_store(stale)
+
     def test_wrong_envelope_and_version_are_typed(self, store, tmp_path):
         alien = str(tmp_path / "alien.bin")
         with open(alien, "wb") as fh:
@@ -160,9 +170,9 @@ class TestNetworkStore:
     def test_fresh_process_reports_are_bit_identical(self, store, tmp_path):
         """The satellite guarantee: a store loaded in a *fresh interpreter*
         reproduces the in-process pipeline's reports bit-for-bit on every
-        engine whose artifact it carries — all five engines across the two
-        apps (reference/bitpacked/multistream everywhere, dfa on Bro217,
-        lazydfa on LV)."""
+        engine whose artifact it carries — all four engines across the two
+        apps (reference/bitpacked everywhere, dfa on Bro217, lazydfa on
+        LV)."""
         store_path = str(tmp_path / "store.bin")
         store.save(store_path)
         data = bytes((7 * i + 3) % 256 for i in range(SMALL.input_len))
@@ -176,7 +186,7 @@ class TestNetworkStore:
                 import json, sys
                 from repro.experiments.config import ExperimentConfig
                 from repro.grid.store import load_store
-                from repro.sim import dfa_run, lazydfa_run, reference_run, run, run_multi
+                from repro.sim import dfa_run, lazydfa_run, reference_run, run
 
                 store_path, data_path, out_path, scale, input_len = sys.argv[1:6]
                 config = ExperimentConfig(scale=int(scale), input_len=int(input_len))
@@ -184,11 +194,9 @@ class TestNetworkStore:
                 data = open(data_path, "rb").read()
                 out = {}
                 for name, app in store.apps.items():
-                    (multi,) = run_multi(app.compiled, [data])
                     engines = {
                         "reference": reference_run(app.network, data),
                         "bitpacked": run(app.compiled, data),
-                        "multistream": multi,
                     }
                     if app.dfa is not None:
                         engines["dfa"] = dfa_run(app.dfa, data)
@@ -209,16 +217,14 @@ class TestNetworkStore:
         with open(out_path) as fh:
             fresh = json.load(fh)
 
-        expected_engines = {"Bro217": 4, "LV": 4}  # 3 common + 1 table engine
+        expected_engines = {"Bro217": 3, "LV": 3}  # 2 common + 1 table engine
         seen = set()
         for app in STORE_APPS:
             pipeline = get_run(app, SMALL)
             in_process = {
                 "reference": ENGINES["reference"].run_network(
                     pipeline.network, data),
-                "bitpacked": run(pipeline.compiled, data),
-                "multistream": ENGINES["multistream"].run(
-                    pipeline.compiled, data),
+                "bitpacked": ENGINES["bitpacked"].run(pipeline.compiled, data),
             }
             if store.apps[app].dfa is not None:
                 in_process["dfa"] = ENGINES["dfa"].run(
@@ -233,8 +239,7 @@ class TestNetworkStore:
                 got = [tuple(r) for r in fresh[app][engine]]
                 want = [tuple(r) for r in result.reports.tolist()]
                 assert got == want, f"{app}/{engine} diverged in fresh process"
-        assert seen == {"reference", "bitpacked", "multistream",
-                        "dfa", "lazydfa"}
+        assert seen == {"reference", "bitpacked", "dfa", "lazydfa"}
 
 
 def _policy_router(spill_threshold: int = 2) -> GridRouter:
@@ -427,3 +432,41 @@ class TestGridEndToEnd:
                     await client.close()
 
         asyncio.run(scenario())
+
+    def test_stop_ends_the_resource_tracker_it_started(self, tmp_path):
+        """The first spawn starts a process's resource tracker; the grid
+        that started it stops it, so nothing of the grid outlives stop().
+        Run in a fresh interpreter, whose tracker no earlier test started."""
+        script = str(tmp_path / "tracker.py")
+        with open(script, "w") as fh:
+            fh.write(textwrap.dedent("""\
+                import asyncio, os, sys
+                from multiprocessing import resource_tracker
+                from repro.experiments.config import ExperimentConfig
+                from repro.grid import Grid, GridOptions
+
+                async def main():
+                    config = ExperimentConfig(scale=8, input_len=512)
+                    options = GridOptions(workers=1, unix_path=sys.argv[1])
+                    async with Grid(["Bro217"], config, options):
+                        pid = resource_tracker._resource_tracker._pid
+                    return pid
+
+                if __name__ == "__main__":  # spawned workers re-import this file
+                    pid = asyncio.run(main())
+                    try:
+                        os.kill(pid, 0)  # signal 0: an existence probe
+                    except ProcessLookupError:
+                        print("stopped")
+                    else:
+                        print("running")
+            """))
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, script, str(tmp_path / "r.sock")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1:] == ["stopped"], proc.stdout

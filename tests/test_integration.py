@@ -22,12 +22,12 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.pipeline import AppRun
 from repro.nfa.anml import network_from_anml, network_to_anml
 from repro.nfa.analysis import analyze_network
-from repro.sim import compile_network, run
+from repro.sim import reference_run, run, subset_core
 from repro.sim.result import reports_equal
 from repro.workloads import get_app
 from repro.workloads.registry import app_names
 
-from helpers import nfa_hot_phase
+from helpers import reference_cold_reports, reference_hot_phase
 
 CFG = ExperimentConfig(scale=64, input_len=1024)
 PIPELINE_APPS = ["Bro217", "DS03", "HM", "LV", "RF2", "CAV"]
@@ -75,8 +75,8 @@ class TestFullPipeline:
     def test_anml_round_trip_preserves_reports(self, abbr):
         network, _profile, test_input = self._setup(abbr)
         loaded = network_from_anml(network_to_anml(network), name=abbr)
-        original = run(compile_network(network), test_input)
-        reloaded = run(compile_network(loaded), test_input)
+        original = run(subset_core(network), test_input)
+        reloaded = run(subset_core(loaded), test_input)
         assert original.reports.shape == reloaded.reports.shape
         assert np.array_equal(
             np.unique(original.reports[:, 0]), np.unique(reloaded.reports[:, 0])
@@ -97,8 +97,11 @@ def test_pipeline_scenarios_match_nfa_reference(abbr):
 
     ``AppRun`` takes the baseline's reports from its truth run and shares
     one lazy-DFA hot phase between SpAP and AP-CPU; here every outcome is
-    recomputed independently with ``run_baseline_ap`` and the NFA-engine hot
-    phase and must match field for field.
+    recomputed independently with ``run_baseline_ap`` and a hot phase on
+    the reference engine, and must match field for field.  The reports
+    themselves are checked against the reference engine alone: the whole
+    network, and the hot phase's final reports plus the cold side run in
+    events mode, since every other engine shares the subset core.
     """
     app_run = AppRun(get_app(abbr), CFG)
     config, fraction = CFG.half_core, CFG.profile_fractions[-1]
@@ -108,7 +111,7 @@ def test_pipeline_scenarios_match_nfa_reference(abbr):
         config = CFG.large_core
     data = app_run.test_input
     partitioned, bins = app_run.partition(fraction, config)
-    reference_hot = nfa_hot_phase(partitioned, data, bins)
+    reference_hot = reference_hot_phase(partitioned, data, bins)
     pairs = [
         (app_run.baseline(config), run_baseline_ap(app_run.network, data, config)),
         (app_run.base_spap(fraction, config),
@@ -120,9 +123,16 @@ def test_pipeline_scenarios_match_nfa_reference(abbr):
         for name in _OUTCOME_FIELDS:
             assert getattr(got, name, None) == getattr(expected, name, None), name
         assert reports_equal(got.reports, expected.reports)
-    # The correctness invariant against an independent whole-network run.
+    partitioned_reports = np.concatenate(
+        [reference_hot.final_reports, reference_cold_reports(partitioned, reference_hot)]
+    )
+    truth = reference_run(app_run.network, data)
+    assert reports_equal(app_run.truth.reports, truth.reports)
+    assert (app_run.truth.ever_enabled == truth.ever_enabled).all()
+    assert reports_equal(partitioned_reports, truth.reports)
+    # The correctness invariant against the independent whole-network run.
     for got, _expected in pairs:
-        assert reports_equal(got.reports, app_run.truth.reports)
+        assert reports_equal(got.reports, truth.reports)
 
 
 class TestBatchingInvariants:
@@ -141,10 +151,10 @@ class TestBatchingInvariants:
         spec = get_app("DS03")
         network = spec.build(CFG.scale)
         data = spec.make_input(network, 512)
-        whole = run(compile_network(network), data)
+        whole = run(subset_core(network), data)
         merged = []
         for batch in batch_network(network, 200):
-            result = run(compile_network(batch.network), data)
+            result = run(subset_core(batch.network), data)
             merged.extend(map(tuple, batch.to_parent_reports(result.reports)))
         assert reports_equal(whole.reports, merged)
 
@@ -156,7 +166,7 @@ class TestProfileQualityOnWorkloads:
         spec = get_app("Bro217")
         network = spec.build(CFG.scale)
         data = spec.make_input(network, 2048)
-        compiled = compile_network(network)
+        compiled = subset_core(network)
         truth = run(compiled, data[1024:]).hot_mask()
         recalls = []
         for take in (8, 64, 512, 1024):
@@ -169,7 +179,7 @@ class TestProfileQualityOnWorkloads:
         spec = get_app("HM")
         network = spec.build(CFG.scale)
         data = spec.make_input(network, 1024)
-        compiled = compile_network(network)
+        compiled = subset_core(network)
         previous = None
         for take in (16, 64, 256, 1024):
             hot = run(compiled, data[:take]).hot_mask()

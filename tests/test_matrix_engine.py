@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.nfa.automaton import Network, StartKind
 from repro.nfa.build import literal_chain
-from repro.sim import compile_network, reference_run, run
+from repro.sim import reference_run, run, subset_core
 from repro.sim.matrix import matrix_compile, matrix_run
 from repro.sim.result import reports_equal
 
@@ -49,7 +49,7 @@ class TestThreeWayEquivalence:
         rng = random.Random(seed)
         network = random_network(rng)
         data = random_input(rng, length)
-        fast = run(compile_network(network), data)
+        fast = run(subset_core(network), data)
         ref = reference_run(network, data)
         matrix = matrix_run(matrix_compile(network), data)
         assert reports_equal(fast.reports, matrix.reports)
@@ -67,7 +67,7 @@ class TestThreeWayEquivalence:
         spec = get_app(abbr)
         network = spec.build(128)
         data = spec.make_input(network, 256, seed=seed)
-        fast = run(compile_network(network), data)
+        fast = run(subset_core(network), data)
         matrix = matrix_run(matrix_compile(network), data)
         assert reports_equal(fast.reports, matrix.reports)
         assert fast.hot_count() == matrix.hot_count()

@@ -114,10 +114,10 @@ class TestReportDecoding:
         return network
 
     def test_decode(self):
-        from repro.sim import compile_network, decode_reports, run
+        from repro.sim import decode_reports, run, subset_core
 
         network = self._net()
-        result = run(compile_network(network), b"abcd")
+        result = run(subset_core(network), b"abcd")
         decoded = decode_reports(network, result.reports)
         assert [(d.position, d.automaton, d.code) for d in decoded] == [
             (1, "alpha", "A"),
@@ -126,10 +126,10 @@ class TestReportDecoding:
         assert str(decoded[0]) == "A @ 1"
 
     def test_group_by_code(self):
-        from repro.sim import compile_network, reports_by_code, run
+        from repro.sim import reports_by_code, run, subset_core
 
         network = self._net()
-        result = run(compile_network(network), b"abab")
+        result = run(subset_core(network), b"abab")
         assert reports_by_code(network, result.reports) == {"A": [1, 3]}
 
     def test_empty(self):
@@ -143,11 +143,11 @@ class TestEventValidation:
     def test_out_of_range_target_rejected(self):
         from repro.nfa.automaton import Network
         from repro.nfa.build import literal_chain
-        from repro.sim import compile_network, run_events
+        from repro.sim import run_events, subset_core
 
         network = Network("t")
         network.add(literal_chain(b"ab"))
-        compiled = compile_network(network)
+        compiled = subset_core(network)
         with pytest.raises(ValueError):
             run_events(compiled, b"abab", [(0, 99)])
         with pytest.raises(ValueError):

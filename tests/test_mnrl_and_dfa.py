@@ -12,7 +12,7 @@ from repro.nfa.build import literal_chain
 from repro.nfa.determinize import DeterminizeError, determinize
 from repro.nfa.mnrl import network_from_mnrl, network_to_mnrl
 from repro.nfa.regex import compile_regex
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.sim.result import reports_equal
 
 from helpers import dfa_reports, random_input, random_network, seeds
@@ -83,8 +83,8 @@ class TestMNRL:
         network = random_network(rng)
         data = random_input(rng, 20)
         loaded = network_from_mnrl(network_to_mnrl(network))
-        original = run(compile_network(network), data)
-        reloaded = run(compile_network(loaded), data)
+        original = run(subset_core(network), data)
+        reloaded = run(subset_core(loaded), data)
         assert original.reports.shape == reloaded.reports.shape
         assert np.array_equal(
             np.unique(original.reports[:, 0]), np.unique(reloaded.reports[:, 0])
@@ -102,7 +102,7 @@ class TestDeterminize:
         network.add(compile_regex("a((bc)|(cd)+)f"))
         dfa = determinize(network)
         data = b"abcfacdcdfzzabcdf"
-        nfa_result = run(compile_network(network), data)
+        nfa_result = run(subset_core(network), data)
         assert reports_equal(dfa_reports(network, dfa, data), nfa_result.reports)
 
     def test_start_of_data(self):
@@ -130,7 +130,7 @@ class TestDeterminize:
         network = random_network(rng, n_automata=rng.randint(1, 3))
         data = random_input(rng, rng.randint(0, 30))
         dfa = determinize(network, max_states=20000)
-        nfa_result = run(compile_network(network), data)
+        nfa_result = run(subset_core(network), data)
         assert reports_equal(dfa_reports(network, dfa, data), nfa_result.reports)
 
     def test_dfa_blowup_vs_nfa_size(self):

@@ -1,12 +1,21 @@
-"""Unit tests for the multi-stream lock-step engine (repro.sim.multistream)."""
+"""Multi-stream batches: several streams through one ``AppEntry.execute_batch``.
+
+A serving batch is a series of independent walks, one per stream, through
+the entry's registered engine.  Streams may be ragged, empty or absent;
+every stream's result must equal its own reference run, on every engine a
+server can batch on.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.symbolset import SymbolSet
-from repro.sim import compile_network, reports_equal, run, run_multi
-from repro.sim import multistream as ms
+from repro.serve.state import ServeState
+from repro.sim import get_engine, reference_run, reports_equal
+
+#: The engines a server batches on: the NFA engine and the two DFA engines.
+BACKENDS = ("bitpacked", "dfa", "lazydfa")
 
 
 def _chain_network(word: bytes = b"ab", eod: bool = False) -> Network:
@@ -28,120 +37,76 @@ def _chain_network(word: bytes = b"ab", eod: bool = False) -> Network:
     return network
 
 
+def _entries(network: Network):
+    """One resident entry per serving backend, all over ``network``."""
+    for backend in BACKENDS:
+        entry = ServeState(backend=backend).add_network("chain", network)
+        assert entry.backend == backend
+        yield entry
+
+
+def _assert_matches_reference(network, streams, results, backend):
+    assert len(results) == len(streams), backend
+    for stream, got in zip(streams, results):
+        want = reference_run(network, stream)
+        assert reports_equal(got.reports, want.reports), backend
+        assert got.cycles == got.n_symbols == len(stream), backend
+
+
 class TestRunMulti:
     def test_no_streams(self):
-        compiled = compile_network(_chain_network())
-        assert run_multi(compiled, []) == []
+        for entry in _entries(_chain_network()):
+            assert entry.execute_batch([]) == [], entry.backend
 
     def test_single_stream_matches_scalar(self):
-        compiled = compile_network(_chain_network())
+        network = _chain_network()
         data = b"xxabyabz"
-        (multi,) = run_multi(compiled, [data], track_enabled=True)
-        scalar = run(compiled, data, track_enabled=True)
-        assert reports_equal(multi.reports, scalar.reports)
-        assert (multi.ever_enabled == scalar.ever_enabled).all()
-        assert multi.cycles == scalar.cycles == len(data)
+        for entry in _entries(network):
+            results = entry.execute_batch([data])
+            _assert_matches_reference(network, [data], results, entry.backend)
 
     def test_empty_stream_among_live_ones(self):
-        compiled = compile_network(_chain_network())
-        results = run_multi(compiled, [b"ab", b"", b"xabab"])
-        assert [r.n_symbols for r in results] == [2, 0, 5]
-        assert results[0].reports.shape[0] == 1
-        assert results[1].reports.size == 0
-        assert results[2].reports.shape[0] == 2
+        for entry in _entries(_chain_network()):
+            results = entry.execute_batch([b"ab", b"", b"xabab"])
+            assert [r.n_symbols for r in results] == [2, 0, 5], entry.backend
+            assert results[0].reports.shape[0] == 1
+            assert results[1].reports.size == 0
+            assert results[2].reports.shape[0] == 2
 
     def test_all_streams_empty(self):
-        compiled = compile_network(_chain_network())
-        results = run_multi(compiled, [b"", b""])
-        assert all(r.reports.size == 0 and r.cycles == 0 for r in results)
+        for entry in _entries(_chain_network()):
+            results = entry.execute_batch([b"", b""])
+            assert all(r.reports.size == 0 and r.cycles == 0 for r in results)
 
     def test_all_streams_empty_with_tracking(self):
-        # Degenerate lanes must still produce a correctly-shaped (all-zero)
-        # hot set when tracking is on.
-        compiled = compile_network(_chain_network())
-        results = run_multi(compiled, [b"", b""], track_enabled=True)
-        for result in results:
-            assert result.hot_count() == 0
-            assert result.ever_enabled.shape == (compiled.n_words,)
-
-    def test_empty_lanes_never_enter_the_matrix(self, monkeypatch):
-        # A zero-length stream gets its trivial result without occupying a
-        # lock-step lane: the surviving single live stream still rides the
-        # bigint path even when the stream limit is 1.
-        compiled = compile_network(_chain_network())
-        monkeypatch.setattr(ms, "_BIGINT_STREAM_LIMIT", 1)
-        seen = {}
-        original = ms._lockstep_bigint
-
-        def spy(compiled_, sym_rows, lengths, reports, ever):
-            seen["lengths"] = list(lengths)
-            return original(compiled_, sym_rows, lengths, reports, ever)
-
-        monkeypatch.setattr(ms, "_lockstep_bigint", spy)
-        results = run_multi(compiled, [b"", b"abab", b""], track_enabled=True)
-        assert seen["lengths"] == [4]
-        assert [r.n_symbols for r in results] == [0, 4, 0]
-        scalar = run(compiled, b"abab", track_enabled=True)
-        assert reports_equal(results[1].reports, scalar.reports)
-        assert (results[1].ever_enabled == scalar.ever_enabled).all()
-        assert results[0].hot_count() == results[2].hot_count() == 0
-
-    def test_packed_path_with_empty_and_ragged_lanes(self):
-        # Force the packed (k > _BIGINT_STREAM_LIMIT) path with a mix of
-        # empty, short, and long streams; every lane must match the scalar
-        # engine bit for bit.
-        compiled = compile_network(_chain_network())
-        streams = ([b"abab", b"", b"xxabx", b"ab"] * 8)[: ms._BIGINT_STREAM_LIMIT + 6]
-        results = run_multi(compiled, streams, track_enabled=True)
-        assert len(results) == len(streams)
-        for stream, got in zip(streams, results):
-            want = run(compiled, stream, track_enabled=True)
-            assert reports_equal(got.reports, want.reports)
-            assert (got.ever_enabled == want.ever_enabled).all()
-            assert got.cycles == len(stream)
+        # Empty streams must still produce a correctly-shaped (all-zero) hot
+        # set, on every engine a batch can run on.
+        for entry in _entries(_chain_network()):
+            run = get_engine(entry.backend).run
+            for result in entry.execute_batch([b"", b""]) + [
+                run(entry.prepared, b"", track_enabled=True)
+            ]:
+                assert result.hot_count() == 0, entry.backend
+                assert result.ever_enabled.shape == (1,), entry.backend
 
     def test_ragged_eod_fires_at_each_streams_own_end(self):
         # End-of-data reporters must fire at each stream's final position,
         # not the longest stream's.
-        compiled = compile_network(_chain_network(eod=True))
+        network = _chain_network(eod=True)
         short, long = b"ab", b"abxxab"
-        results = run_multi(compiled, [short, long])
-        expected = [run(compiled, s) for s in (short, long)]
-        for got, want in zip(results, expected):
-            assert reports_equal(got.reports, want.reports)
-        assert results[0].reports.shape[0] == 1  # "ab" ends at position 1
-        assert results[1].reports.shape[0] == 1  # only the final "ab" reports
+        for entry in _entries(network):
+            results = entry.execute_batch([short, long])
+            _assert_matches_reference(network, [short, long], results, entry.backend)
+            assert results[0].reports.shape[0] == 1  # "ab" ends at position 1
+            assert results[1].reports.shape[0] == 1  # only the final "ab" reports
 
     def test_identical_streams_identical_results(self):
-        compiled = compile_network(_chain_network())
-        data = b"abab"
-        results = run_multi(compiled, [data] * 5)
-        for result in results[1:]:
-            assert reports_equal(result.reports, results[0].reports)
-
-    def test_packed_path_csr_fallback(self, monkeypatch):
-        # Packed path with successor_masks disabled: the CSR scatter branch.
-        compiled = compile_network(_chain_network())
-        monkeypatch.setattr(ms, "_BIGINT_WORD_LIMIT", 0)
-        monkeypatch.setattr(type(compiled), "successor_masks", lambda self: None)
-        results = run_multi(compiled, [b"abab", b"xxab"])
-        monkeypatch.undo()
-        expected = [run(compiled, s) for s in (b"abab", b"xxab")]
-        for got, want in zip(results, expected):
-            assert reports_equal(got.reports, want.reports)
-
-    def test_bigint_path_csr_fallback(self, monkeypatch):
-        compiled = compile_network(_chain_network())
-        monkeypatch.setattr(ms, "_BIGINT_WORD_LIMIT", 1 << 30)
-        monkeypatch.setattr(ms, "_BIGINT_STREAM_LIMIT", 1 << 30)
-        monkeypatch.setattr(type(compiled), "successor_masks", lambda self: None)
-        results = run_multi(compiled, [b"abab", b"xxab"])
-        monkeypatch.undo()
-        expected = [run(compiled, s) for s in (b"abab", b"xxab")]
-        for got, want in zip(results, expected):
-            assert reports_equal(got.reports, want.reports)
+        for entry in _entries(_chain_network()):
+            results = entry.execute_batch([b"abab"] * 5)
+            for result in results[1:]:
+                assert reports_equal(result.reports, results[0].reports)
 
     def test_rejects_bad_input(self):
-        compiled = compile_network(_chain_network())
-        with pytest.raises(ValueError):
-            run_multi(compiled, [np.array([1.5, 2.5])])
+        for entry in _entries(_chain_network()):
+            with pytest.raises(ValueError):
+                entry.execute_batch([np.array([1.5, 2.5])])

@@ -9,6 +9,7 @@ the bit-parallel engine (which has its own equivalence suite).
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from repro.nfa.determinize import (
     flatten_network,
     subset_core,
 )
-from repro.nfa.symbolset import SymbolSet
 from repro.nfa.transforms import duplicate_network, merge_common_prefixes
 from repro.sim.reference import reference_run
 from repro.sim.result import reports_equal
@@ -33,6 +33,7 @@ from repro.workloads.registry import get_app
 from helpers import (
     class_representatives,
     dfa_reports,
+    full_alphabet_network,
     random_automaton,
     random_input,
     random_network,
@@ -148,19 +149,6 @@ class TestDeterminizeHelpers:
             assert dfa.n_states == outcome.n_subset_states
 
 
-def _full_alphabet_network(rng: random.Random) -> Network:
-    """A random network whose symbol sets are random ranges and masks over
-    all 256 bytes, so the byte classes are many and irregular."""
-    network = random_network(rng)
-    for _gid, _automaton, state in network.global_states():
-        if rng.random() < 0.5:
-            low = rng.randrange(256)
-            state.symbol_set = SymbolSet.from_ranges((low, rng.randint(low, 255)))
-        else:
-            state.symbol_set = SymbolSet(rng.getrandbits(256))
-    return network
-
-
 def _assert_core_matches_loop_reference(network: Network) -> None:
     """The core's classes and accept masks equal the signature-loop ones."""
     core = subset_core(network)
@@ -202,7 +190,7 @@ class TestSubsetCoreMatchesLoopReference:
     def test_classes_and_accept_masks(self, seed):
         rng = random.Random(seed)
         _assert_core_matches_loop_reference(random_network(rng))
-        _assert_core_matches_loop_reference(_full_alphabet_network(rng))
+        _assert_core_matches_loop_reference(full_alphabet_network(rng))
 
     @settings(max_examples=60, deadline=None)
     @given(seeds, st.integers(min_value=1, max_value=600))
@@ -223,7 +211,7 @@ class TestSubsetCoreMatchesLoopReference:
     @settings(max_examples=15, deadline=None)
     @given(seeds)
     def test_full_alphabet_determinize(self, seed):
-        _assert_same_dfa(_full_alphabet_network(random.Random(seed)), 400)
+        _assert_same_dfa(full_alphabet_network(random.Random(seed)), 400)
 
     def test_bro217_at_release_scale(self):
         network = get_app("Bro217").build(16)
@@ -308,3 +296,14 @@ class TestMergeVsReference:
         )
         for code in ("r0", "r1", "r2"):
             assert code in combined
+
+
+class TestSubsetCoreMemory:
+    def test_successor_masks_stay_linear_on_the_largest_app(self):
+        """Masks local to each automaton keep the core linear in the
+        network: CAV4k at the release scale (70,309 states in 4,096
+        automata) holds about 3.5 MB of successor masks, where global-width
+        masks took 330 MB."""
+        core = subset_core(get_app("CAV4k").build(16))
+        assert core.n_states > 70_000
+        assert sum(sys.getsizeof(mask) for mask in core.succ_masks) < 16 << 20

@@ -13,7 +13,7 @@ from repro.nfa.analysis import analyze_network
 from repro.nfa.automaton import Network
 from repro.nfa.build import literal_chain
 from repro.nfa.regex import compile_regex
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 
 from helpers import random_input, random_network, seeds
 
@@ -96,7 +96,7 @@ class TestConstrainedStates:
         network = random_network(rng)
         topology = analyze_network(network)
         data = random_input(rng, 15)
-        hot = run(compile_network(network), data).hot_mask()
+        hot = run(subset_core(network), data).hot_mask()
         result = constrained_states(network, topology, hot)
         assert result.constrained >= 0
         assert result.perfect_hot <= result.topo_hot <= network.n_states

@@ -23,7 +23,7 @@ from repro.nfa.analysis import analyze_network
 from repro.nfa.automaton import Network, StartKind
 from repro.nfa.build import literal_chain
 from repro.nfa.regex import compile_regex
-from repro.sim import compile_network, run, run_events
+from repro.sim import run, run_events, subset_core
 from repro.sim.result import reports_equal, reports_to_array
 
 from helpers import random_input, random_network, seeds
@@ -37,7 +37,7 @@ def _chain_net(pattern=b"abcdef"):
 
 def partitioned_reports(network, partitioned, data):
     """Run hot then cold (single batches) and merge final reports."""
-    hot_result = run(compile_network(partitioned.hot), data)
+    hot_result = run(subset_core(partitioned.hot), data)
     reports = hot_result.reports
     if reports.size:
         is_im = partitioned.hot_is_intermediate[reports[:, 1]]
@@ -50,7 +50,7 @@ def partitioned_reports(network, partitioned, data):
         events = reports
     merged = [final]
     if partitioned.cold.n_states:
-        cold_out = run_events(compile_network(partitioned.cold), data, events)
+        cold_out = run_events(subset_core(partitioned.cold), data, events)
         cold_reports = cold_out.reports.copy()
         if cold_reports.size:
             cold_reports[:, 1] = partitioned.cold_to_parent[cold_reports[:, 1]]
@@ -208,7 +208,7 @@ class TestEquivalenceInvariant:
     def test_chain_every_cut(self):
         network = _chain_net(b"abcab")
         data = b"abcababcab"
-        baseline = run(compile_network(network), data).reports
+        baseline = run(subset_core(network), data).reports
         for k in range(1, 6):
             partitioned = partition_network(network, [k])
             assert reports_equal(baseline, partitioned_reports(network, partitioned, data))
@@ -218,7 +218,7 @@ class TestEquivalenceInvariant:
         network.add(compile_regex("a((bc)|(cd)+)f"))
         topology = analyze_network(network)
         data = b"abcfacdcdfabcdf"
-        baseline = run(compile_network(network), data).reports
+        baseline = run(subset_core(network), data).reports
         assert baseline.size  # the test must exercise real matches
         for k in range(1, topology.max_topo + 1):
             partitioned = partition_network(network, [k], topology=topology)
@@ -236,7 +236,7 @@ class TestEquivalenceInvariant:
             for i in range(network.n_automata)
         ]
         partitioned = partition_network(network, layers, topology=topology)
-        baseline = run(compile_network(network), data).reports
+        baseline = run(subset_core(network), data).reports
         assert reports_equal(baseline, partitioned_reports(network, partitioned, data))
 
     @settings(max_examples=25, deadline=None)
@@ -248,10 +248,10 @@ class TestEquivalenceInvariant:
         topology = analyze_network(network)
         profile_data = random_input(rng, 4)
         test_data = random_input(rng, 30)
-        profiled = run(compile_network(network), profile_data)
+        profiled = run(subset_core(network), profile_data)
         layers = choose_partition_layers(network, topology, profiled.hot_mask())
         partitioned = partition_network(network, layers, topology=topology)
-        baseline = run(compile_network(network), test_data).reports
+        baseline = run(subset_core(network), test_data).reports
         assert reports_equal(baseline, partitioned_reports(network, partitioned, test_data))
 
 
@@ -270,7 +270,7 @@ class TestPerEdgeIntermediates:
         network = Network("n")
         network.add(compile_regex("a(b|c)de"))
         data = b"abdeacde.abde"
-        baseline = run(compile_network(network), data).reports
+        baseline = run(subset_core(network), data).reports
         for share in (True, False):
             partitioned = partition_network(network, [2], share_intermediates=share)
             assert reports_equal(

@@ -15,7 +15,7 @@ from repro.core.profiling import (
 from repro.nfa.analysis import analyze_network
 from repro.nfa.automaton import Network
 from repro.nfa.build import literal_chain
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 
 from helpers import random_input, random_network, seeds
 
@@ -91,7 +91,7 @@ class TestChooseLayers:
         network = random_network(rng)
         topology = analyze_network(network)
         data = random_input(rng, 12)
-        result = run(compile_network(network), data)
+        result = run(subset_core(network), data)
         layers = choose_partition_layers(network, topology, result.hot_mask())
         closure = layer_closure_mask(network, topology, layers)
         assert not np.any(result.hot_mask() & ~closure)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.ap.batching import min_batches, pack_batches
 from repro.core.partition import hot_size_with_intermediates, partition_network, plan_hot_batches
 from repro.nfa.analysis import analyze_network
-from repro.sim import compile_network, run, run_events
+from repro.sim import run, run_events, subset_core
 from repro.sim.result import reports_to_array
 
 from helpers import random_input, random_network, seeds
@@ -52,7 +52,7 @@ class TestEventRunProperties:
             (rng.randrange(n), rng.randrange(network.n_states))
             for _ in range(rng.randint(0, 8))
         )
-        outcome = run_events(compile_network(network), data, events)
+        outcome = run_events(subset_core(network), data, events)
         assert 0 <= outcome.consumed_cycles <= n
         assert 0 <= outcome.stall_cycles <= len(events)
         assert outcome.total_cycles == outcome.consumed_cycles + outcome.stall_cycles
@@ -76,7 +76,7 @@ class TestEventRunProperties:
             base_events
             + [(rng.randrange(len(data)), rng.randrange(network.n_states))]
         )
-        compiled = compile_network(network)
+        compiled = subset_core(network)
         fewer = run_events(compiled, data, base_events)
         more = run_events(compiled, data, extra_events)
         assert more.reports.shape[0] >= fewer.reports.shape[0]

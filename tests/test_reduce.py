@@ -414,6 +414,6 @@ class TestReduceCli:
 
     def test_run_app_reduce_flag(self, capsys, monkeypatch):
         self._env(monkeypatch)
-        assert cli_main(["run-app", "HM", "--reduce", "--backend", "multistream"]) == 0
+        assert cli_main(["run-app", "HM", "--reduce", "--backend", "bitpacked"]) == 0
         out = capsys.readouterr().out
         assert "reduce" in out and "backend" in out

@@ -15,7 +15,7 @@ import pytest
 
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.symbolset import SymbolSet
-from repro.sim import as_input_array, compile_network, run, run_events
+from repro.sim import as_input_array, run, run_events, subset_core
 
 
 def _automaton(name: str = "a") -> Automaton:
@@ -90,7 +90,7 @@ class TestJumpAccounting:
         # total_cycles past n_symbols; the ratio must clamp at 0, not go
         # negative.
         network = Network("net", automata=[_automaton(f"a{i}") for i in range(6)])
-        compiled = compile_network(network)
+        compiled = subset_core(network)
         events = [(0, gid) for gid in range(6)]
         outcome = run_events(compiled, b"xy", events)
         assert outcome.total_cycles > outcome.n_symbols
@@ -102,7 +102,7 @@ class TestJumpAccounting:
         automaton = Automaton("chain")
         automaton.add_state(SymbolSet.from_symbols(b"x"), start=StartKind.NONE,
                             reporting=True, report_code="chain:0")
-        compiled = compile_network(Network("net", automata=[automaton]))
+        compiled = subset_core(Network("net", automata=[automaton]))
         outcome = run_events(compiled, b"xyyyyyyy", [(0, 0)])
         assert outcome.consumed_cycles < outcome.n_symbols
         assert outcome.jumps >= 1
@@ -110,7 +110,7 @@ class TestJumpAccounting:
     def test_no_events_one_jump_to_end(self):
         automaton = Automaton("chain")
         automaton.add_state(SymbolSet.from_symbols(b"x"), start=StartKind.NONE)
-        compiled = compile_network(Network("net", automata=[automaton]))
+        compiled = subset_core(Network("net", automata=[automaton]))
         outcome = run_events(compiled, b"yyyy", [])
         assert outcome.consumed_cycles == 0
         assert outcome.jumps == 1
@@ -119,19 +119,19 @@ class TestJumpAccounting:
     def test_jump_ratio_empty_input(self):
         automaton = Automaton("chain")
         automaton.add_state(SymbolSet.from_symbols(b"x"), start=StartKind.NONE)
-        compiled = compile_network(Network("net", automata=[automaton]))
+        compiled = subset_core(Network("net", automata=[automaton]))
         assert run_events(compiled, b"", []).jump_ratio() == 0.0
 
 
 class TestEmptyEdges:
     def test_empty_network_runs(self):
-        compiled = compile_network(Network("empty"))
+        compiled = subset_core(Network("empty"))
         result = run(compiled, b"abc")
         assert result.reports.size == 0
         assert result.cycles == 3
 
     def test_empty_network_empty_input(self):
-        compiled = compile_network(Network("empty"))
+        compiled = subset_core(Network("empty"))
         result = run(compiled, b"")
         assert result.reports.size == 0
         assert result.cycles == 0

@@ -514,8 +514,7 @@ class TestStatsAndLifecycle:
         assert state.timer.calls("warmup") == 1
 
     def test_lazydfa_backend_serves_injected_network(self):
-        from repro.sim import run as scalar_run
-        from repro.sim.compiled import compile_network
+        from repro.sim import reference_run
 
         state = ServeState(backend="lazydfa")
         network = _chain_network(b"ab")
@@ -524,12 +523,18 @@ class TestStatsAndLifecycle:
         assert entry.lazydfa is not None
         data = b"xabababx"
         (got,) = entry.execute_batch([data])
-        expected = scalar_run(compile_network(network), data)
+        expected = reference_run(network, data)
         assert (got.reports == expected.reports).all()
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="serve backend"):
             ServeState(backend="systolic")
+
+    def test_multistream_is_a_synonym_for_bitpacked(self):
+        state = ServeState(backend="multistream")
+        assert state.backend == "bitpacked"
+        entry = state.add_network("toy", _chain_network(b"ab"))
+        assert entry.backend == "bitpacked" and entry.prepared is entry.compiled
 
 
 class TestLoadgen:

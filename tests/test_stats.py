@@ -289,7 +289,7 @@ class TestSweepStats:
     def test_rows_carry_cost_columns(self, small_config):
         (row,) = run_sweep(["Bro217"], small_config, jobs=1)
         assert row.n_classes >= 1
-        assert row.backend in ("reference", "bitpacked", "multistream", "dfa")
+        assert row.backend in ("reference", "bitpacked", "dfa", "lazydfa")
         assert isinstance(row.dfa_safe, bool)
 
     def test_summary_cost_aggregates(self, small_config):
@@ -331,11 +331,11 @@ class TestSweepStats:
 
     def test_reduced_backend_execution_matches_unreduced(self, small_config):
         plain = run_sweep(["LV"], small_config, jobs=1,
-                          backend="multistream")[0]
+                          backend="bitpacked")[0]
         reduced = run_sweep(["LV"], small_config, jobs=1,
-                            backend="multistream", reduce=True)[0]
+                            backend="bitpacked", reduce=True)[0]
         assert reduced.reduced is True and plain.reduced is False
-        assert reduced.backend == plain.backend == "multistream"
+        assert reduced.backend == plain.backend == "bitpacked"
         assert reduced.backend_mb_s > 0
         table = render_sweep([reduced])
         assert "%+" in table  # the '+' marker for reduced execution

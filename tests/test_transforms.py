@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from repro.nfa.automaton import Network, StartKind
 from repro.nfa.build import literal_chain
 from repro.nfa.transforms import duplicate_network, is_chain, merge_common_prefixes
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.sim.result import reports_equal
 
 from helpers import random_input, random_network, seeds
@@ -37,7 +37,7 @@ class TestDuplicate:
     def test_reports_multiply(self):
         network = _patterns_net(b"ab")
         doubled = duplicate_network(network, 3)
-        result = run(compile_network(doubled), b"xxabxx")
+        result = run(subset_core(doubled), b"xxabxx")
         assert result.reports.shape[0] == 3
 
     def test_report_codes_distinguish_streams(self):
@@ -88,8 +88,8 @@ class TestMergeCommonPrefixes:
         network = _patterns_net(b"abcX", b"abcY", b"qq")
         merged = merge_common_prefixes(network)
         data = b"..abcX..abcY..qq.."
-        original = run(compile_network(network), data)
-        trie = run(compile_network(merged), data)
+        original = run(subset_core(network), data)
+        trie = run(subset_core(merged), data)
         # Same report positions with the same multiplicity.
         assert np.array_equal(
             np.sort(original.reports[:, 0]), np.sort(trie.reports[:, 0])
@@ -101,8 +101,8 @@ class TestMergeCommonPrefixes:
         merged = merge_common_prefixes(network)
         assert merged.n_states == 3
         data = b"abc"
-        original = run(compile_network(network), data)
-        trie = run(compile_network(merged), data)
+        original = run(subset_core(network), data)
+        trie = run(subset_core(merged), data)
         assert np.array_equal(
             np.sort(original.reports[:, 0]), np.sort(trie.reports[:, 0])
         )
@@ -135,8 +135,8 @@ class TestMergeCommonPrefixes:
         merged = merge_common_prefixes(network)
         assert merged.n_states <= network.n_states
         data = random_input(rng, 30, alphabet)
-        original = run(compile_network(network), data)
-        trie = run(compile_network(merged), data)
+        original = run(subset_core(network), data)
+        trie = run(subset_core(merged), data)
         # Duplicate patterns collapse, so compare distinct report positions.
         assert np.array_equal(
             np.unique(original.reports[:, 0] if original.reports.size else []),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.nfa.analysis import analyze_automaton, analyze_network
 from repro.nfa.automaton import Network, StartKind
-from repro.sim import compile_network, reference_run, run
+from repro.sim import reference_run
 from repro.workloads.generators import (
     ClassChainSpec,
     class_chain_network,

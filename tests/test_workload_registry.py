@@ -10,7 +10,7 @@ import pytest
 from repro.ap.batching import batch_network
 from repro.nfa.analysis import analyze_network
 from repro.nfa.automaton import StartKind
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.workloads.inputs import dna_bytes, plant, token_stream, uniform_bytes
 from repro.workloads.registry import APPS, app_names, get_app
 
@@ -87,7 +87,7 @@ class TestEveryApplication:
         spec = get_app(abbr)
         network = spec.build(FAST_SCALE)
         data = spec.make_input(network, 512)
-        result = run(compile_network(network), data)
+        result = run(subset_core(network), data)
         assert result.cycles == 512
         assert 0.0 < result.hot_fraction() <= 1.0
 
@@ -108,14 +108,14 @@ class TestStructuralSignatures:
         spec = get_app("CAV4k")
         network = spec.build(FAST_SCALE)
         data = spec.make_input(network, 2048)
-        result = run(compile_network(network), data)
+        result = run(subset_core(network), data)
         assert result.hot_fraction() < 0.10
 
     def test_rf_mostly_hot(self):
         spec = get_app("RF1")
         network = spec.build(FAST_SCALE)
         data = spec.make_input(network, 2048)
-        result = run(compile_network(network), data)
+        result = run(subset_core(network), data)
         assert result.hot_fraction() > 0.85
 
     def test_lv_large_scc(self):

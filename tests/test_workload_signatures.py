@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig
 from repro.nfa.analysis import analyze_network
-from repro.sim import compile_network, run
+from repro.sim import run, subset_core
 from repro.workloads import get_app
 
 CFG = ExperimentConfig(scale=32, input_len=4096)
@@ -38,7 +38,7 @@ def _hot_fraction(abbr):
     spec = get_app(abbr)
     network = spec.build(CFG.scale)
     data = spec.make_input(network, CFG.input_len)
-    result = run(compile_network(network), data[len(data) // 2 :])
+    result = run(subset_core(network), data[len(data) // 2 :])
     return result.hot_fraction()
 
 
