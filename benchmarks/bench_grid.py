@@ -45,7 +45,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_grid.json"
 APPS, SCALE, PAYLOAD_BYTES = ["Snort", "Bro217", "LV"], 64, 1024
 WORKER_COUNTS = (1, 2, 4)
 SCALING_CONC, SCALING_REQUESTS = 32, 256
-WINDOW_MS, MAX_BATCH, WORKER_QUEUE_DEPTH = 2.0, 64, 64
+MAX_BATCH, WORKER_QUEUE_DEPTH = 64, 64
 ROUTER_MAX_INFLIGHT, SPILL_THRESHOLD = 128, 16
 #: Open-loop sweep: offered load as multiples of the measured capacity.
 LIGHT_FACTOR, OVERLOAD_FACTOR = 0.3, 3.0
@@ -71,7 +71,7 @@ OVERLOAD_P99_SANITY_MS = 10_000.0
 
 def _grid_options(workers: int, sock: str) -> GridOptions:
     return GridOptions(
-        workers=workers, unix_path=sock, window_ms=WINDOW_MS,
+        workers=workers, unix_path=sock,
         max_batch=MAX_BATCH, max_queue_depth=WORKER_QUEUE_DEPTH,
         spill_threshold=SPILL_THRESHOLD, max_inflight=ROUTER_MAX_INFLIGHT,
     )
@@ -153,7 +153,6 @@ async def _measure(repeats: int) -> dict:
         },
         "host": {"cpus": os.cpu_count() or 1},
         "grid": {
-            "window_ms": WINDOW_MS,
             "max_batch": MAX_BATCH,
             "worker_queue_depth": WORKER_QUEUE_DEPTH,
             "router_max_inflight": ROUTER_MAX_INFLIGHT,

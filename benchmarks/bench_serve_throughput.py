@@ -10,10 +10,10 @@ and drives it with the closed-loop load generator twice:
 
 * **concurrency 1** — one request in flight at a time.  The batcher's
   eager-when-idle policy dispatches each request alone, so this is the
-  honest *serial per-request* baseline (no coalescing window is paid).
-* **concurrency 32** — 32 requests in flight; the coalescer folds them
-  into batches, so many requests share one executor hop (each stream is
-  still its own walk through the engine).
+  honest *serial per-request* baseline.
+* **concurrency 32** — 32 requests in flight; the requests that arrive
+  while a batch executes form the next batch, so many requests share one
+  executor hop (each stream is still its own walk through the engine).
 
 As with ``bench_engine_throughput.py``, the committed artifact records the
 *ratio* of two measurements taken moments apart on the same machine —
@@ -38,7 +38,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 APP, SCALE, PAYLOAD_BYTES = "Snort", 64, 1024
 SERIAL_CONC, BATCHED_CONC = 1, 32
 SERIAL_REQUESTS, BATCHED_REQUESTS = 64, 256
-WINDOW_MS, MAX_BATCH, WORKERS = 2.0, 64, 2
+MAX_BATCH, WORKERS = 64, 2
 #: ``--check`` passes while the live ratio stays above this fraction of the
 #: committed one (CI runners are noisy; ratios still drift a little).
 TOLERANCE = 0.5
@@ -67,7 +67,7 @@ async def _measure(repeats):
     """Serve + drive in one event loop; returns the benchmark document."""
     with tempfile.TemporaryDirectory() as tmpdir:
         sock = str(Path(tmpdir) / "bench.sock")
-        options = ServerOptions(unix_path=sock, window_ms=WINDOW_MS,
+        options = ServerOptions(unix_path=sock,
                                 max_batch=MAX_BATCH, workers=WORKERS)
         config = ExperimentConfig(scale=SCALE, input_len=PAYLOAD_BYTES)
         server = MatchServer(config, options, apps=[APP])
@@ -91,7 +91,6 @@ async def _measure(repeats):
             "n_states": n_states,
         },
         "serving": {
-            "window_ms": WINDOW_MS,
             "max_batch": MAX_BATCH,
             "workers": WORKERS,
         },

@@ -126,6 +126,19 @@ def _resolve_apps(names: Iterable[str]) -> Optional[List[str]]:
     return resolved
 
 
+def _resolve_targets(args) -> Optional[List[str]]:
+    """The applications ``stats``, ``verify``, ``semant``, ``cost`` and
+    ``reduce`` run on: the registry with ``--all``, else the named ones, or
+    ``None`` after reporting a usage error (callers exit 2)."""
+    if args.all:
+        return app_names()
+    if not args.apps:
+        print(f"{args.command}: name at least one application or pass --all",
+              file=sys.stderr)
+        return None
+    return _resolve_apps(args.apps)
+
+
 def _cmd_list_apps(_args) -> int:
     rows = []
     for abbr in app_names():
@@ -266,15 +279,8 @@ def _cmd_stats(args) -> int:
 
     from .stats import collect_run_stats, render_stats, validate_stats
 
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("stats: name at least one application or pass --all",
-              file=sys.stderr)
+    targets = _resolve_targets(args)
+    if targets is None:
         return 2
 
     config = _config_for(args)
@@ -296,15 +302,8 @@ def _cmd_stats(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify.app import verify_app
 
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("verify: name at least one application or pass --all",
-              file=sys.stderr)
+    targets = _resolve_targets(args)
+    if targets is None:
         return 2
 
     config = default_config()
@@ -332,15 +331,8 @@ def _cmd_verify(args) -> int:
 def _cmd_semant(args) -> int:
     from .semant.app import semant_app
 
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("semant: name at least one application or pass --all",
-              file=sys.stderr)
+    targets = _resolve_targets(args)
+    if targets is None:
         return 2
 
     config = default_config()
@@ -373,15 +365,8 @@ def _cmd_cost(args) -> int:
 
     budget = args.budget if args.budget is not None else DEFAULT_DFA_BUDGET
 
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("cost: name at least one application or pass --all",
-              file=sys.stderr)
+    targets = _resolve_targets(args)
+    if targets is None:
         return 2
 
     config = default_config()
@@ -415,15 +400,8 @@ def _cmd_reduce(args) -> int:
     budget = args.budget if args.budget is not None else DEFAULT_DFA_BUDGET
     mode = "aggressive" if args.aggressive else "exact"
 
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("reduce: name at least one application or pass --all",
-              file=sys.stderr)
+    targets = _resolve_targets(args)
+    if targets is None:
         return 2
 
     config = default_config()
@@ -462,7 +440,7 @@ def _cmd_serve(args) -> int:
             return 2
     options = ServerOptions(
         host=args.host, port=args.port, unix_path=args.unix,
-        window_ms=args.window_ms, max_batch=args.max_batch,
+        max_batch=args.max_batch,
         max_queue_depth=args.max_queue_depth, workers=args.workers,
         max_apps=args.max_apps, warmup=not args.no_warmup,
         allow_shutdown=not args.no_remote_shutdown,
@@ -587,7 +565,7 @@ def _cmd_grid(args) -> int:
         return 2
     options = GridOptions(
         workers=args.workers, host=args.host, port=args.port,
-        unix_path=args.unix, window_ms=args.window_ms,
+        unix_path=args.unix,
         max_batch=args.max_batch, max_queue_depth=args.max_queue_depth,
         threads=args.threads, backend=args.backend,
         spill_threshold=args.spill_threshold,
@@ -800,8 +778,6 @@ def main(argv: Optional[list] = None) -> int:
                               help="TCP port (0 or omitted: ephemeral)")
     serve_parser.add_argument("--unix", default=None, metavar="PATH",
                               help="listen on a unix socket instead of TCP")
-    serve_parser.add_argument("--window-ms", type=float, default=2.0,
-                              help="micro-batch coalescing window (default 2ms)")
     serve_parser.add_argument("--max-batch", type=int, default=64,
                               help="largest batch per dispatch (default 64)")
     serve_parser.add_argument("--max-queue-depth", type=int, default=1024,
@@ -887,8 +863,6 @@ def main(argv: Optional[list] = None) -> int:
                              help="router TCP port (0 or omitted: ephemeral)")
     grid_parser.add_argument("--unix", default=None, metavar="PATH",
                              help="router listens on a unix socket instead")
-    grid_parser.add_argument("--window-ms", type=float, default=2.0,
-                             help="per-worker micro-batch window (default 2ms)")
     grid_parser.add_argument("--max-batch", type=int, default=64,
                              help="largest batch per worker dispatch")
     grid_parser.add_argument("--max-queue-depth", type=int, default=1024,

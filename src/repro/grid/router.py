@@ -484,8 +484,7 @@ class GridRouter:
             "schema_version": GRID_SCHEMA_VERSION,
             "server": {
                 "apps": sorted(self.shard_map.assignments),
-                "window_ms": 0.0,  # batching happens in the workers
-                "max_batch": 0,
+                "max_batch": 0,  # batching happens in the workers
                 "max_queue_depth": self.options.max_inflight,
                 "workers": len(self.links),
                 "uptime_seconds": now - self._started,

@@ -49,7 +49,6 @@ class GridOptions:
     host: str = "127.0.0.1"
     port: Optional[int] = None
     unix_path: Optional[str] = None
-    window_ms: float = 2.0
     max_batch: int = 64
     max_queue_depth: int = 1024
     threads: int = 2
@@ -114,7 +113,6 @@ class Grid:
                 apps=shard_apps,
                 scale=self.config.scale,
                 input_len=self.config.input_len,
-                window_ms=self.options.window_ms,
                 max_batch=self.options.max_batch,
                 max_queue_depth=self.options.max_queue_depth,
                 threads=self.options.threads,

@@ -39,7 +39,6 @@ class WorkerSpec:
     apps: List[str] = field(default_factory=list)
     scale: int = 16
     input_len: int = 8192
-    window_ms: float = 2.0
     max_batch: int = 64
     max_queue_depth: int = 1024
     threads: int = 2
@@ -59,7 +58,6 @@ def worker_main(spec: WorkerSpec) -> None:
     store = load_store(spec.store_path, config).partition(spec.apps)
     options = ServerOptions(
         unix_path=spec.unix_path,
-        window_ms=spec.window_ms,
         max_batch=spec.max_batch,
         max_queue_depth=spec.max_queue_depth,
         workers=spec.threads,

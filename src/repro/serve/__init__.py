@@ -1,10 +1,11 @@
 """Match-serving subsystem (`repro.serve`).
 
 The deployment face of the reproduction: a long-running asyncio match
-service that accepts framed requests over TCP or a unix socket, coalesces
-concurrent traffic into micro-batches, and executes each batch in an
-executor thread as one walk per stream through the application's engine
-— so K in-flight requests cost one executor hop instead of K.
+service that accepts framed requests over TCP or a unix socket, batches
+the requests that arrive while an application's batch executes, and runs
+each batch in an executor thread as one walk per stream through the
+application's engine — so K queued requests cost one executor hop
+instead of K.
 
 Layers (DESIGN.md §11):
 
@@ -12,8 +13,9 @@ Layers (DESIGN.md §11):
   + raw payload, versioned, typed error frames, hard size bounds);
 * :mod:`repro.serve.state` — compiled-network LRU over the shared
   ``AppRun`` pipeline cache, with startup warmup;
-* :mod:`repro.serve.batcher` — the micro-batching coalescer: window/size
-  dispatch, per-request deadlines, queue-depth admission control;
+* :mod:`repro.serve.batcher` — the micro-batcher: eager dispatch when
+  idle, the next batch on completion (capped at ``max_batch``),
+  per-request deadlines, queue-depth admission control;
 * :mod:`repro.serve.server` — the asyncio server, per-request/per-batch
   ``repro.stats`` spans, and the validated statistics export;
 * :mod:`repro.serve.client` — pipelined asyncio client (typed

@@ -1,22 +1,22 @@
-"""Micro-batching coalescer: concurrent requests -> one executor batch.
+"""Micro-batching: concurrent requests for one network -> one executor batch.
 
 This module turns *traffic* into batches: requests for the same compiled
-network are held for at most a configurable window, then dispatched
-together through the entry's selected backend
+network that arrive while a batch of it executes are dispatched together
+through the entry's selected backend
 (:meth:`repro.serve.state.AppEntry.execute_batch` — one walk per stream,
 on the NFA engine by default or the table-driven DFA engines when
 selected), so a batch pays one executor hop for all of its streams.
 
-Batching policy (DESIGN.md §11):
+Batching policy (DESIGN.md §11) — batches form on completion, never on a
+timer:
 
-* **Eager when idle** — a request arriving at an empty queue with no batch
-  of its application in flight dispatches immediately.  A lone client
-  never pays the coalescing window, so low-load latency equals scalar
-  latency and a concurrency-1 loadgen run is an honest serial baseline.
-* **Window otherwise** — while a batch is executing, arrivals queue; the
-  queue flushes when the executing batch finishes, when it reaches
-  ``max_batch``, or at the latest ``window_s`` after its first member
-  arrived, whichever is first.
+* **Eager when idle** — a request for an application with no batch in
+  flight dispatches at once, alone.  Low-load latency equals scalar
+  latency, and a concurrency-1 loadgen run is an honest serial baseline.
+* **Next batch on completion** — while a batch of its application
+  executes, a request queues.  The batch's completion dispatches the
+  queue, FIFO, up to ``max_batch`` requests; the rest wait for that
+  batch's completion in turn.
 * **Deadlines** — every request may carry one.  Requests already expired
   at dispatch time are dropped from the batch and failed with a typed
   ``DEADLINE_EXCEEDED`` error; they never consume engine cycles.
@@ -25,8 +25,8 @@ Batching policy (DESIGN.md §11):
   immediately with ``OVERLOADED`` (backpressure, not unbounded growth).
 
 Execution happens in a thread-pool executor so the event loop keeps
-accepting and coalescing traffic while a batch runs; per-batch and
-per-request timings are recorded into the server's ``repro.stats`` timer.
+accepting traffic while a batch runs; per-batch and per-request timings
+are recorded into the server's ``repro.stats`` timer.
 """
 
 from __future__ import annotations
@@ -48,15 +48,12 @@ __all__ = ["BatchPolicy", "BatchedResult", "MicroBatcher"]
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Knobs governing coalescing and admission."""
+    """Knobs governing batch size and admission."""
 
-    window_s: float = 0.002
     max_batch: int = 64
     max_queue_depth: int = 1024
 
     def __post_init__(self) -> None:
-        if self.window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {self.window_s}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_queue_depth < 1:
@@ -97,8 +94,7 @@ class MicroBatcher:
         self.timer = timer if timer is not None else StageTimer()
         self._executor = executor
         self._queues: Dict[str, Deque[_Pending]] = {}
-        self._flush_handles: Dict[str, asyncio.TimerHandle] = {}
-        self._in_flight: Dict[str, bool] = {}
+        self._in_flight: "set[str]" = set()  # apps with a batch executing
         self._tasks: "set[asyncio.Task[None]]" = set()
         self._depth = 0
         # Counters for the serve stats document.
@@ -138,18 +134,15 @@ class MicroBatcher:
         pending = _Pending(entry=entry, symbols=symbols, deadline=deadline,
                            enqueued=time.monotonic())
         pending.future = loop.create_future()
-        queue = self._queues.setdefault(entry.name, deque())
-        queue.append(pending)
+        self._queues.setdefault(entry.name, deque()).append(pending)
         self._depth += 1
-        self._schedule(entry.name, loop)
+        if entry.name not in self._in_flight:
+            self._dispatch(entry.name)
         return await pending.future
 
     async def drain(self) -> None:
-        """Cancel scheduled flushes and fail queued requests (shutdown)."""
-        for handle in self._flush_handles.values():
-            handle.cancel()
-        self._flush_handles.clear()
-        for name, queue in self._queues.items():
+        """Fail queued requests (shutdown)."""
+        for queue in self._queues.values():
             while queue:
                 pending = queue.popleft()
                 self._depth -= 1
@@ -159,37 +152,12 @@ class MicroBatcher:
                         recoverable=True,
                     ))
 
-    # -- scheduling ----------------------------------------------------------------
+    # -- dispatch -------------------------------------------------------------------
 
-    def _schedule(self, name: str, loop: asyncio.AbstractEventLoop) -> None:
-        queue = self._queues[name]
-        if not queue:
-            return
-        if len(queue) >= self.policy.max_batch:
-            self._flush_now(name)
-            return
-        if not self._in_flight.get(name) and len(queue) == 1:
-            # Eager when idle: nothing executing, nothing else coalescing.
-            self._flush_now(name)
-            return
-        if name not in self._flush_handles:
-            self._flush_handles[name] = loop.call_later(
-                self.policy.window_s, self._flush_timer, name
-            )
-
-    def _flush_timer(self, name: str) -> None:
-        self._flush_handles.pop(name, None)
-        self._flush_now(name)
-
-    def _flush_now(self, name: str) -> None:
-        handle = self._flush_handles.pop(name, None)
-        if handle is not None:
-            handle.cancel()
+    def _dispatch(self, name: str) -> None:
+        """Start the next batch of an idle app from the head of its queue."""
         queue = self._queues.get(name)
         if not queue:
-            return
-        if self._in_flight.get(name):
-            # The running batch's completion callback reschedules us.
             return
         now = time.monotonic()
         batch: List[_Pending] = []
@@ -210,7 +178,7 @@ class MicroBatcher:
             batch.append(pending)
         if not batch:
             return
-        self._in_flight[name] = True
+        self._in_flight.add(name)
         loop = asyncio.get_running_loop()
         task = loop.create_task(self._execute(name, batch))
         # Keep a strong reference so the task is not collected mid-flight.
@@ -246,13 +214,12 @@ class MicroBatcher:
                     ))
             return
         finally:
-            self._in_flight[name] = False
+            self._in_flight.discard(name)
             self.batches_dispatched += 1
             self.batched_requests += len(batch)
             self.max_batch_size = max(self.max_batch_size, len(batch))
-            # Whatever queued while we executed flushes immediately — its
-            # members already waited at least one batch-execution window.
-            self._flush_now(name)
+            # Whatever queued while this batch executed is the next batch.
+            self._dispatch(name)
         exec_seconds = ended - began
         for pending, result in zip(batch, results):
             queue_seconds = began - pending.enqueued

@@ -3,8 +3,9 @@
 One :class:`MatchServer` listens on TCP or a unix socket, decodes frames
 (:mod:`repro.serve.protocol`), resolves applications through the LRU state
 layer (:mod:`repro.serve.state`), and funnels every match request through
-the micro-batcher (:mod:`repro.serve.batcher`) so concurrent traffic shares
-one executor hop per batch.
+the micro-batcher (:mod:`repro.serve.batcher`): a request for an idle app
+runs at once, and requests that arrive while its batch executes share the
+next batch's executor hop.
 
 Connections are handled concurrently and each frame spawns its own task,
 so a single connection may pipeline many requests; replies are serialized
@@ -52,7 +53,6 @@ class ServerOptions:
     host: str = "127.0.0.1"
     port: Optional[int] = None
     unix_path: Optional[str] = None
-    window_ms: float = 2.0
     max_batch: int = 64
     max_queue_depth: int = 1024
     workers: int = 2
@@ -67,8 +67,7 @@ class ServerOptions:
     reduce: bool = False
 
     def policy(self) -> BatchPolicy:
-        return BatchPolicy(window_s=self.window_ms / 1e3,
-                           max_batch=self.max_batch,
+        return BatchPolicy(max_batch=self.max_batch,
                            max_queue_depth=self.max_queue_depth)
 
 
@@ -85,12 +84,12 @@ class MatchServer:
                                 backend=self.options.backend,
                                 reduce=self.options.reduce,
                                 timer=self.timer)
-        self.batcher = MicroBatcher(self.options.policy(), timer=self.timer)
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(1, self.options.workers),
             thread_name_prefix="repro-serve",
         )
-        self.batcher._executor = self._executor
+        self.batcher = MicroBatcher(self.options.policy(),
+                                    executor=self._executor, timer=self.timer)
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
         self._conn_tasks: "set[asyncio.Task[None]]" = set()
@@ -306,7 +305,6 @@ class MatchServer:
             "server": {
                 "apps": self.state.allowed if self.state.allowed is not None
                         else self.state.resident(),
-                "window_ms": self.options.window_ms,
                 "max_batch": self.options.max_batch,
                 "max_queue_depth": self.options.max_queue_depth,
                 "workers": self.options.workers,

@@ -19,11 +19,7 @@ __all__ = [
     "SERVE_SCHEMA_VERSION",
     "SPAN_SCHEMA",
     "STATS_SCHEMA",
-    "STATS_SCHEMA_V2",
-    "STATS_SCHEMA_V3",
-    "STATS_SCHEMA_V4",
     "SUPPORTED_SERVE_VERSIONS",
-    "SUPPORTED_STATS_VERSIONS",
     "SchemaError",
     "validate_serve_stats",
     "validate_spans",
@@ -155,36 +151,6 @@ STATS_SCHEMA = {
     "stages": ("array", SPAN_SCHEMA),
 }
 
-#: The v4 document shape (everything above minus the v5 ``reduce``
-#: section); archived v4 exports still validate strictly under their own
-#: version instead of failing with a missing-section error.
-STATS_SCHEMA_V4 = {key: spec for key, spec in STATS_SCHEMA.items() if key != "reduce"}
-
-#: The v3 document shape (the ``cost`` section without the v4 backend
-#: fields); archived v3 exports still validate strictly under their own
-#: version instead of failing with missing-field errors.
-STATS_SCHEMA_V3 = dict(STATS_SCHEMA_V4)
-STATS_SCHEMA_V3["cost"] = {
-    key: spec
-    for key, spec in STATS_SCHEMA["cost"].items()
-    if key not in ("requested_backend", "selected_backend")
-}
-
-#: The v2 document shape (everything above minus the ``cost`` section);
-#: kept so archived v2 exports still validate strictly under their own
-#: version instead of failing with a missing-section error.
-STATS_SCHEMA_V2 = {key: spec for key, spec in STATS_SCHEMA_V3.items() if key != "cost"}
-
-#: Versions :func:`validate_stats` accepts, newest first.
-SUPPORTED_STATS_VERSIONS = (5, 4, 3, 2)
-
-_SCHEMA_BY_VERSION = {
-    5: STATS_SCHEMA,
-    4: STATS_SCHEMA_V4,
-    3: STATS_SCHEMA_V3,
-    2: STATS_SCHEMA_V2,
-}
-
 #: The match server's statistics document (``repro.serve``): configuration
 #: echo, request/reply/error counters, micro-batch shape, and the server's
 #: StageTimer spans (queue wait, batch execution, reply encoding).
@@ -192,7 +158,6 @@ SERVE_SCHEMA = {
     "schema_version": "int",
     "server": {
         "apps": ("array", "str"),
-        "window_ms": "number",
         "max_batch": "int",
         "max_queue_depth": "int",
         "workers": "int",
@@ -301,26 +266,23 @@ def _check(value: Any, spec: Any, path: str, problems: List[str]) -> None:
 def validate_stats(document: dict) -> None:
     """Validate one exported stats object; raises :class:`SchemaError`.
 
-    Version-checks first so a future producer fails with "unsupported
-    version" rather than a wall of field errors.  Each supported version is
-    validated against its own shape: a v2 document must not carry the v3
-    ``cost`` section, and a v3 document must.
+    Version-checks first so any other producer fails with "unsupported
+    version" rather than a wall of field errors.  Only the current
+    :data:`SCHEMA_VERSION` is accepted: no older document is committed or
+    read anywhere.
     """
     if not isinstance(document, dict):
         raise SchemaError(f"stats document must be an object, got {type(document).__name__}")
     version = document.get("schema_version")
-    # bool is an int subclass: `True` must not dispatch through the integer
-    # version keys (it hashes equal to 1) — reject it like any unknown
-    # version, with the error naming the supported set.
-    valid_key = isinstance(version, int) and not isinstance(version, bool)
-    schema = _SCHEMA_BY_VERSION.get(version) if valid_key else None
-    if schema is None:
+    # `type(...) is int` rejects bools (an int subclass) and floats such as
+    # 5.0 that compare equal to the version.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported stats schema_version {version!r} "
-            f"(supported: {', '.join(str(v) for v in SUPPORTED_STATS_VERSIONS)})"
+            f"(supported: {SCHEMA_VERSION})"
         )
     problems: List[str] = []
-    _check(document, schema, "$", problems)
+    _check(document, STATS_SCHEMA, "$", problems)
     if problems:
         raise SchemaError(
             f"{len(problems)} schema violation(s): " + "; ".join(problems[:20])

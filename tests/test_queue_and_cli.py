@@ -126,8 +126,8 @@ class TestCLI:
 
 class TestVerifyExitCodes:
     """The documented contract, asserted in-process with a stubbed verifier:
-    warnings exit 0, any ERROR-severity finding exits 1, unknown apps exit 2
-    (for both ``verify`` and ``semant``)."""
+    warnings exit 0, any ERROR-severity finding exits 1, and unknown or
+    missing apps exit 2 (for every per-app command)."""
 
     @staticmethod
     def _stub_report(code=None):
@@ -158,14 +158,20 @@ class TestVerifyExitCodes:
     def test_errors_exit_one(self, monkeypatch, capsys):
         assert self._run_verify(monkeypatch, "SPAP-S001") == 1
 
+    PER_APP_COMMANDS = ("stats", "verify", "semant", "cost", "reduce")
+
     def test_unknown_app_exits_two(self, capsys):
         from repro.__main__ import main
 
-        assert main(["verify", "nope"]) == 2
-        assert main(["semant", "nope"]) == 2
+        for command in self.PER_APP_COMMANDS:
+            assert main([command, "nope"]) == 2, command
+            assert "unknown application 'nope'" in capsys.readouterr().err
 
     def test_no_apps_exits_two(self, capsys):
         from repro.__main__ import main
 
-        assert main(["verify"]) == 2
-        assert main(["semant"]) == 2
+        for command in self.PER_APP_COMMANDS:
+            assert main([command]) == 2, command
+            assert capsys.readouterr().err == (
+                f"{command}: name at least one application or pass --all\n"
+            )

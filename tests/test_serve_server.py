@@ -92,7 +92,7 @@ class TestMatchCorrectness:
                 assert outcome.n_symbols == len(data)
                 assert outcome.reports == [tuple(r) for r in scalar.reports.tolist()]
                 assert not outcome.reports_truncated
-                assert outcome.batch_size == 1  # eager when idle: no window paid
+                assert outcome.batch_size == 1  # eager when idle: dispatched alone
 
         asyncio.run(scenario())
 
@@ -130,10 +130,25 @@ class TestMatchCorrectness:
         asyncio.run(scenario())
 
 
+class _SleepyEntry:
+    """A stand-in app entry whose batches take ``seconds`` to execute; it
+    records each batch's streams in the order the batches ran."""
+
+    def __init__(self, name: str, seconds: float) -> None:
+        self.name = name
+        self.seconds = seconds
+        self.batches = []
+
+    def execute_batch(self, streams):
+        self.batches.append(list(streams))
+        time.sleep(self.seconds)
+        return [None] * len(streams)
+
+
 class TestCoalescing:
     def test_concurrent_requests_batch_together(self, tmp_path):
         async def scenario():
-            async with _server(tmp_path, window_ms=50.0) as (server, sock):
+            async with _server(tmp_path) as (server, sock):
                 data = b"xyab" * 512  # big enough that a batch takes a while
                 async with await AsyncServeClient.open(unix_path=sock) as client:
                     outcomes = await asyncio.gather(
@@ -147,6 +162,79 @@ class TestCoalescing:
                 expected = len(run(server.state.get_blocking("toy").compiled,
                                    data).reports)
                 assert all(len(o.reports) == expected for o in outcomes)
+
+        asyncio.run(scenario())
+
+    def test_idle_arrival_dispatches_alone(self):
+        async def scenario():
+            entry = _SleepyEntry("toy", 0.0)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = MicroBatcher(BatchPolicy(), executor=pool)
+                first = await batcher.submit(entry, b"a")
+                second = await batcher.submit(entry, b"b")
+            assert (first.batch_size, second.batch_size) == (1, 1)
+            assert entry.batches == [[b"a"], [b"b"]]
+
+        asyncio.run(scenario())
+
+    def test_arrivals_during_a_batch_ride_the_next_batch_together(self):
+        """Arrivals 10 ms apart while a 50 ms batch runs wait for its
+        completion, which dispatches all three as one batch."""
+        async def scenario():
+            entry = _SleepyEntry("toy", 0.05)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = MicroBatcher(BatchPolicy(), executor=pool)
+                submits = [asyncio.ensure_future(batcher.submit(entry, b"a"))]
+                for symbols in (b"b", b"c", b"d"):
+                    await asyncio.sleep(0.01)
+                    submits.append(
+                        asyncio.ensure_future(batcher.submit(entry, symbols)))
+                results = await asyncio.gather(*submits)
+            assert [r.batch_size for r in results] == [1, 3, 3, 3]
+            assert entry.batches == [[b"a"], [b"b", b"c", b"d"]]
+
+        asyncio.run(scenario())
+
+    def test_max_batch_splits_the_queue_in_fifo_order(self):
+        async def scenario():
+            entry = _SleepyEntry("toy", 0.02)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = MicroBatcher(BatchPolicy(max_batch=2), executor=pool)
+                first = asyncio.ensure_future(batcher.submit(entry, b"a"))
+                await asyncio.sleep(0)  # "a" dispatches alone and runs
+                results = await asyncio.gather(
+                    first, *(batcher.submit(entry, s) for s in (b"b", b"c", b"d"))
+                )
+            assert [r.batch_size for r in results] == [1, 2, 2, 1]
+            assert entry.batches == [[b"a"], [b"b", b"c"], [b"d"]]
+
+        asyncio.run(scenario())
+
+    def test_batcher_schedules_no_timer(self):
+        """Batches form on completion only: an idle dispatch, a queue
+        built behind a running batch and a max_batch split put nothing on
+        the event loop's timer."""
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_later = loop.call_later
+
+            def counting_call_later(*args, **kwargs):
+                timers.append(args)
+                return call_later(*args, **kwargs)
+
+            loop.call_later = counting_call_later
+            entry = _SleepyEntry("toy", 0.02)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = MicroBatcher(BatchPolicy(max_batch=2), executor=pool)
+                await batcher.submit(entry, b"a")
+                second = asyncio.ensure_future(batcher.submit(entry, b"b"))
+                await asyncio.sleep(0)  # "b" dispatches alone and runs
+                await asyncio.gather(
+                    second, *(batcher.submit(entry, s) for s in (b"c", b"d", b"e"))
+                )
+            assert entry.batches == [[b"a"], [b"b"], [b"c", b"d"], [b"e"]]
+            assert timers == []
 
         asyncio.run(scenario())
 
@@ -174,8 +262,7 @@ class TestAdmissionControl:
         async def scenario():
             state = ServeState()
             entry = state.add_network("toy", _chain_network(b"ab"))
-            batcher = MicroBatcher(BatchPolicy(window_s=0.05, max_batch=1,
-                                               max_queue_depth=1))
+            batcher = MicroBatcher(BatchPolicy(max_batch=1, max_queue_depth=1))
             results = await asyncio.gather(
                 batcher.submit(entry, b"ab"),
                 batcher.submit(entry, b"ab"),
@@ -210,13 +297,13 @@ class TestAdmissionControl:
         async def scenario():
             state = ServeState()
             entry = state.add_network("toy", _chain_network(b"ab"))
-            batcher = MicroBatcher(BatchPolicy(window_s=30.0, max_batch=4))
+            batcher = MicroBatcher(BatchPolicy(max_batch=4))
             first = asyncio.ensure_future(batcher.submit(entry, b"ab"))
             await first  # dispatched eagerly; queue now idle
             second = asyncio.ensure_future(batcher.submit(entry, b"ab"))
             third = asyncio.ensure_future(batcher.submit(entry, b"ab"))
-            await asyncio.sleep(0)  # both parked behind the 30s window
-            assert batcher.queue_depth == 1  # second dispatched eagerly
+            await asyncio.sleep(0)  # both submitted; the second runs
+            assert batcher.queue_depth == 1  # the third waits for its batch
             await batcher.drain()
             with pytest.raises(ProtocolError) as info:
                 await third
@@ -224,18 +311,6 @@ class TestAdmissionControl:
             await second  # its batch was already in flight when we drained
 
         asyncio.run(scenario())
-
-
-class _SleepyEntry:
-    """A stand-in app entry whose batches take ``seconds`` to execute."""
-
-    def __init__(self, name: str, seconds: float) -> None:
-        self.name = name
-        self.seconds = seconds
-
-    def execute_batch(self, streams):
-        time.sleep(self.seconds)
-        return [None] * len(streams)
 
 
 class TestBatchTiming:
@@ -669,8 +744,7 @@ class TestLoadgen:
         completes, with OVERLOADED counted on the result (the bounded-p99
         contract the grid bench asserts)."""
         async def scenario():
-            async with _server(tmp_path, max_queue_depth=1,
-                               window_ms=20.0) as (_server_obj, sock):
+            async with _server(tmp_path, max_queue_depth=1) as (_server_obj, sock):
                 config = LoadgenConfig(
                     apps=["toy"], concurrency=8, mode="open", rate=2000.0,
                     duration_s=0.2, input_len=2048, unix_path=sock,
