@@ -10,8 +10,8 @@ Run directly, this module is the benchmark-trajectory harness::
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --check  # CI smoke assertion
 
 The harness measures MB/s for the engines (reference, the NFA engine on
-the subset core, matrix, table-driven DFA, and the bounded-subset lazy-DFA
-hybrid) on the standard workload — Snort at scale 64 is DFA-safe, so the same
+the subset core, table-driven DFA, and the bounded-subset lazy-DFA hybrid)
+on the standard workload — Snort at scale 64 is DFA-safe, so the same
 workload carries the ``dfa`` measurement — plus a ``lazydfa_unsafe``
 section timing the hybrid against bitpacked on the DFA-*unsafe* registry
 apps (where no eager table exists), and records the *speedup ratios*
@@ -47,8 +47,6 @@ from repro.sim import (
     compile_lazydfa,
     dfa_run,
     lazydfa_run,
-    matrix_compile,
-    matrix_run,
     reference_run,
     reports_equal,
     run,
@@ -82,10 +80,8 @@ UNSAFE_APPS = ("LV", "ER", "SPM", "Fermi", "Brill")
 #: merge (stale workload metadata, missing engine column) cannot validate.
 _WORKLOAD_KEYS = ("app", "scale", "input_len", "n_states", "dfa_states",
                   "dfa_classes", "dfa_table_bytes")
-_THROUGHPUT_KEYS = ("seed_scalar", "reference", "bitpacked", "matrix", "dfa",
-                    "lazydfa")
-_SPEEDUP_KEYS = ("bitpacked_vs_seed", "matrix_vs_seed", "dfa_vs_bitpacked",
-                 "lazydfa_vs_bitpacked")
+_THROUGHPUT_KEYS = ("seed_scalar", "reference", "bitpacked", "dfa", "lazydfa")
+_SPEEDUP_KEYS = ("bitpacked_vs_seed", "dfa_vs_bitpacked", "lazydfa_vs_bitpacked")
 _UNSAFE_APP_KEYS = ("app", "bitpacked_mb_s", "lazydfa_mb_s", "speedup")
 
 
@@ -289,14 +285,12 @@ def collect_metrics(repeats=3, timer=None):
         seed_result = _seed_run(seed_tables, data)
         fast_result = run(compiled, data, track_enabled=False)
         reference_result = reference_run(network, data)
-        matrix_result = matrix_run(matrix_compile(network), data)
         dfa_result = dfa_run(dfa, data)
         lazy_result = lazydfa_run(lazy, data)
         identical = all(
             reports_equal(reference_result.reports, other)
             for other in [seed_result, fast_result.reports,
-                          matrix_result.reports, dfa_result.reports,
-                          lazy_result.reports]
+                          dfa_result.reports, lazy_result.reports]
         )
 
     with timer.stage("measure_seed"):
@@ -307,9 +301,6 @@ def collect_metrics(repeats=3, timer=None):
         )
     with timer.stage("measure_reference"):
         reference = _mb_per_s(lambda: reference_run(network, data), n, repeats=1)
-    with timer.stage("measure_matrix"):
-        mat = matrix_compile(network)
-        matrix = _mb_per_s(lambda: matrix_run(mat, data), n, repeats)
     with timer.stage("measure_dfa"):
         dfa_run(dfa, data)  # warm the lazy flat-table build out of the timing
         dfa_mb_s = _mb_per_s(lambda: dfa_run(dfa, data), n, repeats)
@@ -340,13 +331,11 @@ def collect_metrics(repeats=3, timer=None):
             "seed_scalar": round(seed, 3),
             "reference": round(reference, 3),
             "bitpacked": round(bitpacked, 3),
-            "matrix": round(matrix, 3),
             "dfa": round(dfa_mb_s, 3),
             "lazydfa": round(lazydfa_mb_s, 3),
         },
         "speedup": {
             "bitpacked_vs_seed": round(bitpacked / seed, 3),
-            "matrix_vs_seed": round(matrix / seed, 3),
             "dfa_vs_bitpacked": round(dfa_mb_s / bitpacked, 3),
             "lazydfa_vs_bitpacked": round(lazydfa_mb_s / bitpacked, 3),
         },
@@ -361,7 +350,7 @@ def _measure_unsafe_apps(repeats=3):
     These are exactly the applications the eager table backend must reject
     (their reachable subset space bursts the budget), so the hybrid is the
     only table-speed engine available — the section the cost model's
-    ``lz_unsafe_factor`` is calibrated from.  Each app's hybrid reports are
+    ``lz_miss_share`` is calibrated from.  Each app's hybrid reports are
     checked bit-identical against the bitpacked engine's before timing.
     """
     from repro.sim import dfa_feasible

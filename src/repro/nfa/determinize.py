@@ -184,6 +184,23 @@ class SubsetCore:
         """
         return tuple(self.step(self.always_mask & accept) for accept in self.accept_masks)
 
+    @cached_property
+    def walk_masks(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+        """Per class, ``(steps, mid_reports, reports)``: the accepting
+        states a walk steps (all but the always-enabled ones, whose
+        successors :attr:`start_steps` holds), and the accepting reporters
+        that may fire before the last symbol and at it.  One AND each per
+        cycle of ``sim.engine``'s walk.  Without end-of-data reporters the
+        two report tables are one.  Computed on first use and kept on the
+        core."""
+        moving = ~self.always_mask
+        accepts = self.accept_masks
+        reports = tuple(accept & self.report_mask for accept in accepts)
+        mid_reports = reports
+        if self.mid_report_mask != self.report_mask:
+            mid_reports = tuple(accept & self.mid_report_mask for accept in accepts)
+        return tuple(accept & moving for accept in accepts), mid_reports, reports
+
     def reports(self, activated: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """``(fired, fired_mid)``: the reporting states among ``activated``,
         ascending, and the same without end-of-data reporters."""

@@ -1,8 +1,8 @@
 """Shared asyncio framing helpers for the match protocol.
 
-The server, the grid router, and tests all read the same framed stream
-off an :class:`asyncio.StreamReader`; this module holds the one
-implementation.  Semantics: a clean EOF *between* frames returns
+The server, the client, the grid router, and tests all read the same
+framed stream off an :class:`asyncio.StreamReader`; this module holds the
+one implementation.  Semantics: a clean EOF *between* frames returns
 ``None``, EOF *inside* a frame raises a non-recoverable
 :class:`~repro.serve.protocol.ProtocolError` (the stream cannot be
 re-synchronized), and malformed preambles/headers raise the typed
@@ -21,7 +21,11 @@ __all__ = ["read_frame"]
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[protocol.Frame]:
-    """Read one frame, or ``None`` on clean EOF at a frame boundary."""
+    """Read one frame, or ``None`` on clean EOF at a frame boundary.
+
+    The frame is built from the parts as read: the preamble is parsed
+    once and the header and payload are not copied again.
+    """
     try:
         preamble = await reader.readexactly(protocol.PREAMBLE_SIZE)
     except asyncio.IncompleteReadError as exc:
@@ -39,6 +43,5 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[protocol.Frame]:
         raise ProtocolError(
             ErrorCode.BAD_FRAME, "connection closed mid-frame"
         ) from exc
-    decoded = protocol.decode_frame(preamble + header_bytes + payload)
-    assert decoded is not None
-    return decoded[0]
+    return protocol.Frame(header=protocol.decode_header(header_bytes),
+                          payload=payload)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import protocol
+from .aio import read_frame
 from .protocol import ProtocolError
 
 __all__ = ["MatchOutcome", "ServeRequestError", "ConnectionLostError",
@@ -227,7 +228,7 @@ class AsyncServeClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                frame = await self._read_frame()
+                frame = await read_frame(self._reader)
                 if frame is None:
                     break
                 raw_id = frame.header.get("id")
@@ -263,17 +264,6 @@ class AsyncServeClient:
         if self._conn_lost is None:
             self._conn_lost = exc
         self._fail_all(self._conn_lost)
-
-    async def _read_frame(self) -> Optional[protocol.Frame]:
-        try:
-            preamble = await self._reader.readexactly(protocol.PREAMBLE_SIZE)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        header_len, payload_len = protocol.decode_preamble(preamble)
-        body = await self._reader.readexactly(header_len + payload_len)
-        decoded = protocol.decode_frame(preamble + body)
-        assert decoded is not None
-        return decoded[0]
 
 
 async def connect(*, host: str = "127.0.0.1", port: Optional[int] = None,

@@ -267,89 +267,87 @@ def _record(result: LoadgenResult, outcome,
         stats.latencies_ms.append(1e3 * outcome.latency_s)
 
 
-async def _closed_loop(config: LoadgenConfig, payloads: List[bytes],
-                       classes: List[RequestClass],
+async def _closed_loop(config: LoadgenConfig, clients: List[AsyncServeClient],
+                       payloads: List[bytes], classes: List[RequestClass],
                        result: LoadgenResult) -> None:
     total = config.total_requests()
     counter = {"next": 0}
 
-    async def worker() -> None:
-        client = await _open_client(config)
-        try:
-            while True:
-                index = counter["next"]
-                if index >= total:
-                    return
-                counter["next"] = index + 1
-                app = config.apps[index % len(config.apps)]
-                payload = payloads[index % len(payloads)]
-                request_class = classes[index]
-                try:
-                    outcome = await client.match(
-                        app, payload,
-                        deadline_ms=request_class.deadline_ms,
-                        max_reports=config.max_reports,
-                    )
-                    _record(result, outcome, None, request_class)
-                except ServeRequestError as exc:
-                    _record(result, None, exc, request_class)
-        finally:
-            await client.close()
-
-    workers = [asyncio.ensure_future(worker())
-               for _ in range(config.concurrency)]
-    await asyncio.gather(*workers)
-
-
-async def _open_loop(config: LoadgenConfig, payloads: List[bytes],
-                     classes: List[RequestClass],
-                     result: LoadgenResult) -> None:
-    assert config.rate
-    clients = [await _open_client(config) for _ in range(config.concurrency)]
-    interval = 1.0 / config.rate
-    tasks = []
-    try:
-        began = time.monotonic()
-        for index in range(config.total_requests()):
-            target = began + index * interval
-            delay = target - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            client = clients[index % len(clients)]
+    async def worker(client: AsyncServeClient) -> None:
+        while True:
+            index = counter["next"]
+            if index >= total:
+                return
+            counter["next"] = index + 1
             app = config.apps[index % len(config.apps)]
             payload = payloads[index % len(payloads)]
             request_class = classes[index]
+            try:
+                outcome = await client.match(
+                    app, payload,
+                    deadline_ms=request_class.deadline_ms,
+                    max_reports=config.max_reports,
+                )
+                _record(result, outcome, None, request_class)
+            except ServeRequestError as exc:
+                _record(result, None, exc, request_class)
 
-            async def fire(client=client, app=app, payload=payload,
-                           request_class=request_class) -> None:
-                try:
-                    outcome = await client.match(
-                        app, payload,
-                        deadline_ms=request_class.deadline_ms,
-                        max_reports=config.max_reports,
-                    )
-                    _record(result, outcome, None, request_class)
-                except ServeRequestError as exc:
-                    _record(result, None, exc, request_class)
+    await asyncio.gather(*(worker(client) for client in clients))
 
-            tasks.append(asyncio.ensure_future(fire()))
-        await asyncio.gather(*tasks)
-    finally:
-        for client in clients:
-            await client.close()
+
+async def _open_loop(config: LoadgenConfig, clients: List[AsyncServeClient],
+                     payloads: List[bytes], classes: List[RequestClass],
+                     result: LoadgenResult) -> None:
+    assert config.rate
+    interval = 1.0 / config.rate
+    tasks = []
+    began = time.monotonic()
+    for index in range(config.total_requests()):
+        target = began + index * interval
+        delay = target - time.monotonic()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        client = clients[index % len(clients)]
+        app = config.apps[index % len(config.apps)]
+        payload = payloads[index % len(payloads)]
+        request_class = classes[index]
+
+        async def fire(client=client, app=app, payload=payload,
+                       request_class=request_class) -> None:
+            try:
+                outcome = await client.match(
+                    app, payload,
+                    deadline_ms=request_class.deadline_ms,
+                    max_reports=config.max_reports,
+                )
+                _record(result, outcome, None, request_class)
+            except ServeRequestError as exc:
+                _record(result, None, exc, request_class)
+
+        tasks.append(asyncio.ensure_future(fire()))
+    await asyncio.gather(*tasks)
 
 
 async def run_loadgen(config: LoadgenConfig) -> LoadgenResult:
-    """Run one round; never raises on per-request errors (they are counted)."""
+    """Run one round; never raises on per-request errors (they are counted).
+
+    The round's clock starts once every connection is open, so the wait
+    for a server that is still binding does not count in its rps.
+    """
     payloads = _payloads(config)
     classes = _plan_classes(config)
     result = LoadgenResult(config=config)
-    began = time.perf_counter()
-    if config.mode == "closed":
-        await _closed_loop(config, payloads, classes, result)
-    else:
-        await _open_loop(config, payloads, classes, result)
-    result.elapsed_s = time.perf_counter() - began
+    clients: List[AsyncServeClient] = []
+    try:
+        for _ in range(config.concurrency):
+            clients.append(await _open_client(config))
+        drive = _closed_loop if config.mode == "closed" else _open_loop
+        began = time.perf_counter()
+        await drive(config, clients, payloads, classes, result)
+        result.elapsed_s = time.perf_counter() - began
+    finally:
+        for client in clients:
+            await client.close()
     return result
 
 

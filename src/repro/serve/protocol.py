@@ -47,6 +47,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "decode_preamble",
+    "decode_header",
     "request_frame",
     "reply_frame",
     "error_frame",
@@ -79,7 +80,6 @@ class ErrorCode:
     BAD_REQUEST = "BAD_REQUEST"  # header object missing/invalid fields
     UNKNOWN_TYPE = "UNKNOWN_TYPE"
     UNKNOWN_APP = "UNKNOWN_APP"
-    INVALID_INPUT = "INVALID_INPUT"  # payload rejected by the engine
     DEADLINE_EXCEEDED = "DEADLINE_EXCEEDED"
     OVERLOADED = "OVERLOADED"  # admission control rejected the request
     SHUTDOWN_DISABLED = "SHUTDOWN_DISABLED"
@@ -88,8 +88,8 @@ class ErrorCode:
     #: Codes whose cause is a specific request (the reply echoes its id).
     ALL = (
         BAD_FRAME, UNSUPPORTED_VERSION, FRAME_TOO_LARGE, BAD_HEADER,
-        BAD_REQUEST, UNKNOWN_TYPE, UNKNOWN_APP, INVALID_INPUT,
-        DEADLINE_EXCEEDED, OVERLOADED, SHUTDOWN_DISABLED, INTERNAL,
+        BAD_REQUEST, UNKNOWN_TYPE, UNKNOWN_APP, DEADLINE_EXCEEDED,
+        OVERLOADED, SHUTDOWN_DISABLED, INTERNAL,
     )
 
 
@@ -170,7 +170,7 @@ def decode_preamble(preamble: bytes) -> Tuple[int, int]:
     return header_len, payload_len
 
 
-def _parse_header_bytes(header_bytes: bytes) -> Dict[str, Any]:
+def decode_header(header_bytes: bytes) -> Dict[str, Any]:
     """Header bytes -> JSON object; recoverable errors (stream stays framed)."""
     try:
         header = json.loads(header_bytes.decode("utf-8"))
@@ -202,7 +202,7 @@ def decode_frame(buffer: bytes) -> Optional[Tuple[Frame, int]]:
     total = PREAMBLE_SIZE + header_len + payload_len
     if len(buffer) < total:
         return None
-    header = _parse_header_bytes(buffer[PREAMBLE_SIZE:PREAMBLE_SIZE + header_len])
+    header = decode_header(buffer[PREAMBLE_SIZE:PREAMBLE_SIZE + header_len])
     payload = bytes(buffer[PREAMBLE_SIZE + header_len:total])
     return Frame(header=header, payload=payload), total
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..experiments.config import ExperimentConfig
-from ..sim.engine import as_input_array
 from ..stats.recorder import StageTimer
 from ..stats.schema import SERVE_SCHEMA_VERSION, validate_serve_stats
 from . import protocol
@@ -179,7 +178,7 @@ class MatchServer:
         try:
             while True:
                 try:
-                    frame = await self._read_frame(reader)
+                    frame = await read_frame(reader)
                 except ProtocolError as exc:
                     self._count_error(exc.code)
                     await self._send(writer, write_lock,
@@ -188,7 +187,7 @@ class MatchServer:
                     if exc.recoverable:
                         continue
                     break  # stream no longer framed: close after the reply
-                except (asyncio.IncompleteReadError, ConnectionResetError):
+                except ConnectionResetError:
                     break
                 if frame is None:  # clean EOF between frames
                     break
@@ -200,10 +199,6 @@ class MatchServer:
         finally:
             if request_tasks:
                 await asyncio.gather(*request_tasks, return_exceptions=True)
-
-    async def _read_frame(self, reader: asyncio.StreamReader) -> Optional[protocol.Frame]:
-        """Read one frame, or None on clean EOF at a frame boundary."""
-        return await read_frame(reader)
 
     async def _send(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
                     data: bytes) -> None:
@@ -255,18 +250,12 @@ class MatchServer:
     async def _handle_match(self, request: protocol.ParsedRequest,
                             payload: bytes) -> bytes:
         assert request.app is not None
-        try:
-            symbols = as_input_array(payload)
-        except ValueError as exc:
-            raise ProtocolError(ErrorCode.INVALID_INPUT, str(exc),
-                                request_id=request.request_id,
-                                recoverable=True)
         deadline: Optional[float] = None
         if request.deadline_ms is not None:
             deadline = time.monotonic() + request.deadline_ms / 1e3
         entry = await self.state.get(request.app, self._executor)
         try:
-            batched = await self.batcher.submit(entry, symbols.tobytes(),
+            batched = await self.batcher.submit(entry, payload,
                                                 deadline=deadline)
         except ProtocolError as exc:
             if exc.code == ErrorCode.OVERLOADED:

@@ -37,7 +37,6 @@ from .lazydfa import (
     compile_lazydfa,
     lazydfa_run,
 )
-from .matrix import MatrixNetwork, matrix_compile, matrix_run
 from .reference import reference_run
 from .reports import DecodedReport, decode_reports, reports_by_code
 from .result import Report, SimResult, reports_equal, reports_to_array
@@ -52,9 +51,6 @@ __all__ = [
     "HybridResult",
     "hybrid_run",
     "reference_run",
-    "MatrixNetwork",
-    "matrix_compile",
-    "matrix_run",
     "CompiledDFA",
     "DfaInfeasibleError",
     "compile_dfa",

@@ -96,12 +96,7 @@ def _walk(
     """
     classes: List[int] = core.class_of[symbols].tolist()
     n = len(classes)
-    moving = ~core.always_mask
-    # Per class: activated states that step, and reporters that may fire
-    # mid-stream and at the last symbol.  One AND each per cycle.
-    steps_of = [accept & moving for accept in core.accept_masks]
-    mid_of = [accept & core.mid_report_mask for accept in core.accept_masks]
-    full_of = [accept & core.report_mask for accept in core.accept_masks]
+    steps_of, mid_of, full_of = core.walk_masks
     start_steps = core.start_steps
     succ_masks = core.succ_masks
     succ_bases = core.succ_bases

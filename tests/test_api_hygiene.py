@@ -1,7 +1,12 @@
 """API hygiene: exports resolve, modules are documented, version sane."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -56,3 +61,30 @@ def test_public_symbols_documented():
             obj = getattr(module, name)
             if inspect.isfunction(obj) or inspect.isclass(obj):
                 assert obj.__doc__, f"{module_name}.{name} lacks a docstring"
+
+
+def test_runtime_entry_points_load_only_numpy():
+    """The CLI, the server, a grid worker and the offline pipeline load no
+    installed package but numpy, the one runtime dependency
+    ``pyproject.toml`` declares; what only the tests need (networkx among
+    it) stays out.  Checked in a fresh interpreter, since this one has
+    loaded the test dependencies already."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    script = textwrap.dedent("""
+        import json, site, sys, sysconfig
+        before = set(sys.modules)
+        import repro.__main__, repro.serve.server, repro.grid.worker
+        import repro.experiments.pipeline
+        roots = [sysconfig.get_paths()[key] for key in ("purelib", "platlib")]
+        roots.append(site.getusersitepackages())
+        print(json.dumps(sorted({
+            name.partition(".")[0] for name in set(sys.modules) - before
+            if (getattr(sys.modules[name], "__file__", None) or "").startswith(tuple(roots))
+        })))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {"numpy", "repro"}

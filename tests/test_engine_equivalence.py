@@ -1,9 +1,9 @@
 """Cross-engine equivalence: all engines report bit-identically.
 
 The execution paths — the pure-Python reference, the NFA engine on the
-subset core (``bitpacked``), the boolean-matrix engine, the table-driven
-DFA engine, and the bounded-subset lazy-DFA hybrid — implement the same
-homogeneous-NFA semantics.  ``bitpacked``, ``dfa`` and ``lazydfa`` share
+subset core (``bitpacked``), the table-driven DFA engine, and the
+bounded-subset lazy-DFA hybrid — implement the same homogeneous-NFA
+semantics.  ``bitpacked``, ``dfa`` and ``lazydfa`` share
 one subset core, so every arm here compares against ``reference_run``,
 the one engine that does not.  These property tests pin every registered
 engine to it on random networks (cyclic, eod reporters, multiple
@@ -12,7 +12,8 @@ start-of-data networks that go quiet (where the NFA engine jumps over the
 idle tail), plus the hybrid under adversarially tiny LRU caps (capacity 1
 and 2, where every transition evicts and the fallback path carries the
 run).  Degenerate inputs — empty and single-symbol — get explicit parity
-arms across every registered engine (reports *and* witness masks).
+arms across every registered engine (reports *and* witness masks), and
+the NFA engine is also checked on real workload applications.
 """
 
 import random
@@ -27,8 +28,6 @@ from repro.sim import (
     ENGINES,
     compile_lazydfa,
     lazydfa_run,
-    matrix_compile,
-    matrix_run,
     reference_run,
     reports_equal,
     run,
@@ -40,16 +39,15 @@ from helpers import full_alphabet_network, input_lengths, random_input, random_n
 
 
 def _assert_engines_match_reference(network, data):
-    """Every registered engine, the matrix engine and the hybrid at LRU
-    capacities 1 and 2 report, and track the ever-enabled set, exactly as
-    the reference engine does."""
+    """Every registered engine and the hybrid at LRU capacities 1 and 2
+    report, and track the ever-enabled set, exactly as the reference
+    engine does."""
     expected = reference_run(network, data)
     results = {
         name: engine.run_network(network, data, track_enabled=True)
         for name, engine in ENGINES.items()
         if engine.feasible(network)
     }
-    results["matrix"] = matrix_run(matrix_compile(network), data)
     # Capacity 1 forces an eviction on every distinct subset, so the
     # fallback/re-entry path carries most of the run.
     for capacity in (1, 2):
@@ -128,6 +126,39 @@ class TestFourEngineEquivalence:
         outcome = run_events(subset_core(network), data)
         assert outcome.consumed_cycles == 1 and outcome.jumps == 1
         _assert_engines_match_reference(network, data)
+
+
+class TestNfaEngineMatchesReference:
+    """The NFA engine on the subset core against the reference engine,
+    on random networks and on real (tiny-scale) workload applications."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds, input_lengths)
+    def test_random_network_agreement(self, seed, length):
+        rng = random.Random(seed)
+        network = random_network(rng)
+        data = random_input(rng, length)
+        fast = run(subset_core(network), data)
+        ref = reference_run(network, data)
+        assert reports_equal(fast.reports, ref.reports)
+        assert np.array_equal(fast.ever_enabled, ref.ever_enabled)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds)
+    def test_workload_app_agreement(self, seed):
+        """The engines agree on a real application's network and input."""
+        from repro.workloads import get_app
+
+        rng = random.Random(seed)
+        abbr = rng.choice(["Bro217", "DS03", "LV"])
+        spec = get_app(abbr)
+        network = spec.build(128)
+        data = spec.make_input(network, 256, seed=seed)
+        fast = run(subset_core(network), data)
+        ref = reference_run(network, data)
+        assert reports_equal(fast.reports, ref.reports)
+        assert fast.hot_count() == ref.hot_count()
+        assert np.array_equal(fast.ever_enabled, ref.ever_enabled)
 
 
 class TestReducedNetworkEquivalence:

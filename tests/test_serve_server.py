@@ -17,6 +17,7 @@ import pytest
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.symbolset import SymbolSet
 from repro.serve import protocol
+from repro.serve.aio import read_frame
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.client import (
     AsyncServeClient,
@@ -72,12 +73,9 @@ async def _server(tmp_path, **overrides):
 
 
 async def _read_reply(reader) -> protocol.Frame:
-    preamble = await reader.readexactly(protocol.PREAMBLE_SIZE)
-    header_len, payload_len = protocol.decode_preamble(preamble)
-    body = await reader.readexactly(header_len + payload_len)
-    decoded = protocol.decode_frame(preamble + body)
-    assert decoded is not None
-    return decoded[0]
+    frame = await read_frame(reader)
+    assert frame is not None
+    return frame
 
 
 class TestMatchCorrectness:
@@ -424,6 +422,38 @@ class TestClientConnectionLoss:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("sent", [
+        protocol.reply_frame(1, "toy", n_symbols=4, reports=[], truncated=False,
+                             batch_size=1, queue_ms=0.0, exec_ms=0.0)[:5],
+        protocol.reply_frame(1, "toy", n_symbols=4, reports=[], truncated=False,
+                             batch_size=1, queue_ms=0.0, exec_ms=0.0)[:-5],
+    ], ids=["mid_preamble", "mid_header"])
+    def test_reply_cut_off_mid_frame_is_connection_lost(self, tmp_path, sent):
+        """The client reads replies with the server's frame reader; a
+        reply cut off mid-frame still fails the request with the typed
+        :class:`ConnectionLostError`."""
+        async def scenario():
+            sock = str(tmp_path / "stub.sock")
+
+            async def reply_part_and_die(reader, writer):
+                await reader.read(64)
+                writer.write(sent)
+                await writer.drain()
+                writer.close()
+
+            stub = await asyncio.start_unix_server(reply_part_and_die, path=sock)
+            try:
+                client = await AsyncServeClient.open(unix_path=sock)
+                with pytest.raises(ConnectionLostError):
+                    await client.match("toy", b"abcd")
+                assert not client.connected
+                await client.close()
+            finally:
+                stub.close()
+                await stub.wait_closed()
+
+        asyncio.run(scenario())
+
     def test_server_side_errors_do_not_terminal_state_the_client(self, tmp_path):
         """Null-id error frames (connection-level, but recoverable) fail
         the in-flight requests without poisoning the connection."""
@@ -644,6 +674,25 @@ class TestLoadgen:
                 assert result.errors == 0
                 # 10 arrivals at 500/s cannot finish faster than 18ms.
                 assert result.elapsed_s >= 9 / 500.0
+
+        asyncio.run(scenario())
+
+    def test_rate_clock_starts_after_the_connections_open(self, tmp_path):
+        """A round started before its server binds does not count the wait
+        for the server in its elapsed time, and so not in its rps."""
+        bind_delay = 1.0
+
+        async def scenario():
+            config = LoadgenConfig(apps=["toy"], requests=8, concurrency=2,
+                                   input_len=32,
+                                   unix_path=str(tmp_path / "serve.sock"))
+            round_task = asyncio.ensure_future(run_loadgen(config))
+            await asyncio.sleep(bind_delay)
+            assert not round_task.done()  # still retrying the connect
+            async with _server(tmp_path):
+                result = await round_task
+            assert result.ok == 8
+            assert result.elapsed_s < bind_delay / 2
 
         asyncio.run(scenario())
 
