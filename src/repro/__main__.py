@@ -25,11 +25,11 @@ Commands:
   model, fused into per-partition advisories (SPAP-C diagnostics);
   ``--check`` replays every safety proof through real determinization.
 * ``reduce [ABBR ...|--all]`` — equivalence-preserving reduction
-  (``repro.reduce``): forward/backward bisimulation partition refinement
-  fused with semant's dead/never-reporting proofs, re-priced through the
-  cost model (SPAP-R diagnostics); ``--check`` replays the reduced
-  network through the reference engine and compares lifted reports and
-  witness masks against the unreduced ground truth (SPAP-R001).
+  (``repro.reduce``): backward-bisimulation partition refinement fused
+  with semant's dead-state proofs, re-priced through the cost model
+  (SPAP-R diagnostics); ``--check`` replays the reduced network through
+  the reference engine and compares lifted reports and witness masks
+  against the unreduced ground truth (SPAP-R001).
 * ``serve --apps A,B [--port N|--unix PATH]`` — the long-running match
   service (``repro.serve``): framed requests in, micro-batched
   dispatches out.
@@ -47,8 +47,8 @@ Commands:
 Application names accept the registry abbreviations plus paper-table
 aliases (``SNT`` for ``Snort``), case-insensitively.  Unknown application
 or figure names exit with status 2 and a "did you mean" suggestion;
-``verify``, ``semant``, and ``cost`` exit 1 when any rule of ERROR
-severity fires.
+``verify``, ``semant``, ``cost`` and ``reduce`` exit 1 when any rule of
+ERROR severity fires.
 ``--no-verify`` on the experiment commands disables the pipeline's
 fail-fast invariant checks (see ``repro.verify``).
 ``--backend NAME|auto`` on ``run-app``, ``sweep``, and ``serve`` selects
@@ -56,9 +56,6 @@ the execution engine per DESIGN.md §13-§14.  ``auto`` follows the cost
 advisory with silent bitpacked fallback when the choice is infeasible;
 an explicit name fails loudly when infeasible unless ``--backend-fallback``
 opts into the substitution.
-``--reduce`` on ``run-app``, ``sweep``, and ``serve`` routes execution
-through the SPAP-R-reduced network (DESIGN.md §15); reports are lifted
-back to original state ids, so outputs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ import argparse
 import difflib
 import sys
 from dataclasses import replace
-from typing import Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .cost.model import BACKENDS as _BACKEND_CHOICES
 from .experiments import default_config
@@ -76,6 +73,7 @@ from .experiments.config import ExperimentConfig
 from .experiments.pipeline import get_run
 from .experiments.report import generate_report
 from .experiments.tables import render_table
+from .verify.diagnostics import VerificationReport
 from .workloads.registry import APPS, app_names, resolve_abbr
 
 _FIGURES = {
@@ -173,13 +171,6 @@ def _cmd_run_app(args) -> int:
           f"-> {baseline.cycles / spap.cycles:.2f}x")
     print(f"  AP-CPU      : {1e6 * cpu.cpu_seconds:.1f} us handler "
           f"-> {baseline.seconds(ap) / cpu.seconds(ap):.2f}x")
-    if args.reduce:
-        reduction = run.reduced
-        print(f"  reduce      : {reduction.parent_n_states} -> "
-              f"{reduction.n_states} states "
-              f"({100 * reduction.saving_fraction:.1f}% saved; "
-              f"{reduction.n_dead_stripped} dead, "
-              f"{reduction.n_backward_merged} backward-merged)")
     if args.backend is not None:
         import time as _time
 
@@ -189,20 +180,16 @@ def _cmd_run_app(args) -> int:
             name, engine = run.select_backend(
                 args.backend, args.profile,
                 allow_fallback=True if args.backend_fallback else None,
-                reduce=args.reduce,
             )
         except BackendInfeasibleError as err:
             print(f"run-app: {err}", file=sys.stderr)
             return 2
-        prepared = (run.reduced_prepared_for(name) if args.reduce
-                    else run.prepared_for(name))
+        prepared = run.prepared_for(name)
         data = run.test_input
         engine.run(prepared, data)  # warm lazy tables/dispatch paths
         began = _time.perf_counter()
         result = engine.run(prepared, data)
         elapsed = _time.perf_counter() - began
-        if args.reduce:
-            result = run.reduced.lift_result(result)
         mb_s = len(data) / elapsed / 1e6 if elapsed > 0 else 0.0
         note = "" if name == args.backend or args.backend == "auto" \
             else f" (requested {args.backend}, infeasible)"
@@ -243,8 +230,7 @@ def _cmd_sweep(args) -> int:
         rows = run_sweep(targets, _config_for(args),
                          fraction=args.profile, jobs=args.jobs,
                          backend=args.backend,
-                         backend_fallback=args.backend_fallback,
-                         reduce=args.reduce)
+                         backend_fallback=args.backend_fallback)
     except SweepError as err:
         print(f"sweep failed at {err} (other applications were not run to "
               "completion; --no-verify skips the fail-fast checks)",
@@ -299,9 +285,21 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    from .verify.app import verify_app
+#: One analyzer run on one application: the outcome's JSON export, its
+#: findings, and the line printed before them.
+_Analysis = Tuple[Callable[[], Dict[str, object]], VerificationReport, Optional[str]]
 
+
+def _run_analyzer(args, analyze: Callable[[str, ExperimentConfig], _Analysis],
+                  verdict: str) -> int:
+    """The one loop behind ``verify``, ``semant``, ``cost`` and ``reduce``.
+
+    Prints each application's JSON outcome or its headline, then its
+    findings when an error fired or ``--verbose`` asks for warnings (with
+    no headline, the findings' summary line stands in when none are
+    listed); over several applications, ``k/n applications <verdict>``.
+    Exits 1 when any application has an error.
+    """
     targets = _resolve_targets(args)
     if targets is None:
         return 2
@@ -310,53 +308,45 @@ def _cmd_verify(args) -> int:
     failed = 0
     payload = []
     for abbr in targets:
-        report = verify_app(abbr, config, fraction=args.profile)
-        if args.json:
-            payload.append(report.to_json())
-        else:
-            if report.errors or (report.warnings and args.verbose):
-                print(report.render_text(verbose=args.verbose))
-            else:
-                print(report.summary())
+        to_json, report, headline = analyze(abbr, config)
         failed += 0 if report.ok else 1
+        if args.json:
+            payload.append(to_json())
+            continue
+        if headline is not None:
+            print(headline)
+        if report.errors or (report.warnings and args.verbose):
+            print(report.render_text(verbose=args.verbose))
+        elif headline is None:
+            print(report.summary())
     if args.json:
         import json as _json
 
         print(_json.dumps(payload, indent=2))
     elif len(targets) > 1:
-        print(f"{len(targets) - failed}/{len(targets)} applications verified clean")
+        print(f"{len(targets) - failed}/{len(targets)} applications {verdict}")
     return 1 if failed else 0
+
+
+def _cmd_verify(args) -> int:
+    from .verify.app import verify_app
+
+    def analyze(abbr: str, config: ExperimentConfig) -> _Analysis:
+        report = verify_app(abbr, config, fraction=args.profile)
+        return report.to_json, report, None
+
+    return _run_analyzer(args, analyze, "verified clean")
 
 
 def _cmd_semant(args) -> int:
     from .semant.app import semant_app
 
-    targets = _resolve_targets(args)
-    if targets is None:
-        return 2
-
-    config = default_config()
-    failed = 0
-    payload = []
-    for abbr in targets:
+    def analyze(abbr: str, config: ExperimentConfig) -> _Analysis:
         outcome = semant_app(abbr, config,
                              fraction=args.profile, horizon=args.horizon)
-        if args.json:
-            payload.append(outcome.to_json())
-        else:
-            print(outcome.summary.render())
-            report = outcome.report
-            if report.errors or (report.warnings and args.verbose):
-                print(report.render_text(verbose=args.verbose))
-        failed += 0 if outcome.ok else 1
-    if args.json:
-        import json as _json
+        return outcome.to_json, outcome.report, outcome.summary.render()
 
-        print(_json.dumps(payload, indent=2))
-    elif len(targets) > 1:
-        print(f"{len(targets) - failed}/{len(targets)} applications "
-              "semantically sound")
-    return 1 if failed else 0
+    return _run_analyzer(args, analyze, "semantically sound")
 
 
 def _cmd_cost(args) -> int:
@@ -365,32 +355,12 @@ def _cmd_cost(args) -> int:
 
     budget = args.budget if args.budget is not None else DEFAULT_DFA_BUDGET
 
-    targets = _resolve_targets(args)
-    if targets is None:
-        return 2
-
-    config = default_config()
-    failed = 0
-    payload = []
-    for abbr in targets:
+    def analyze(abbr: str, config: ExperimentConfig) -> _Analysis:
         outcome = cost_app(abbr, config, fraction=args.profile,
                            budget=budget, check=args.check)
-        if args.json:
-            payload.append(outcome.to_json())
-        else:
-            print(outcome.render())
-            report = outcome.report
-            if report.errors or (report.warnings and args.verbose):
-                print(report.render_text(verbose=args.verbose))
-        failed += 0 if outcome.ok else 1
-    if args.json:
-        import json as _json
+        return outcome.to_json, outcome.report, outcome.render()
 
-        print(_json.dumps(payload, indent=2))
-    elif len(targets) > 1:
-        print(f"{len(targets) - failed}/{len(targets)} applications "
-              "cost-analyzed clean")
-    return 1 if failed else 0
+    return _run_analyzer(args, analyze, "cost-analyzed clean")
 
 
 def _cmd_reduce(args) -> int:
@@ -398,34 +368,12 @@ def _cmd_reduce(args) -> int:
     from .reduce.app import reduce_app
 
     budget = args.budget if args.budget is not None else DEFAULT_DFA_BUDGET
-    mode = "aggressive" if args.aggressive else "exact"
 
-    targets = _resolve_targets(args)
-    if targets is None:
-        return 2
+    def analyze(abbr: str, config: ExperimentConfig) -> _Analysis:
+        outcome = reduce_app(abbr, config, budget=budget, check=args.check)
+        return outcome.to_json, outcome.report, outcome.render()
 
-    config = default_config()
-    failed = 0
-    payload = []
-    for abbr in targets:
-        outcome = reduce_app(abbr, config, mode=mode,
-                             budget=budget, check=args.check)
-        if args.json:
-            payload.append(outcome.to_json())
-        else:
-            print(outcome.render())
-            report = outcome.report
-            if report.errors or (report.warnings and args.verbose):
-                print(report.render_text(verbose=args.verbose))
-        failed += 0 if outcome.ok else 1
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(payload, indent=2))
-    elif len(targets) > 1:
-        print(f"{len(targets) - failed}/{len(targets)} applications "
-              "reduced sound")
-    return 1 if failed else 0
+    return _run_analyzer(args, analyze, "reduced sound")
 
 
 def _cmd_serve(args) -> int:
@@ -444,7 +392,7 @@ def _cmd_serve(args) -> int:
         max_queue_depth=args.max_queue_depth, workers=args.workers,
         max_apps=args.max_apps, warmup=not args.no_warmup,
         allow_shutdown=not args.no_remote_shutdown,
-        backend=args.backend, reduce=args.reduce,
+        backend=args.backend,
     )
 
     async def _serve() -> None:
@@ -598,6 +546,26 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _add_analyzer(sub, name: str, help: str,
+                  profile_help: Optional[str] = None) -> argparse.ArgumentParser:
+    """A ``verify``/``semant``/``cost``/``reduce`` parser with the shared
+    target and output arguments (``--profile`` where the analyzer takes a
+    profiling fraction)."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("apps", nargs="*",
+                        help="application abbreviations (see list-apps)")
+    parser.add_argument("--all", action="store_true",
+                        help="analyze every registry application")
+    parser.add_argument("--json", action="store_true",
+                        help="emit a JSON report instead of text")
+    parser.add_argument("--verbose", action="store_true",
+                        help="print warnings and fix hints, not just errors")
+    if profile_help is not None:
+        parser.add_argument("--profile", type=float, default=None,
+                            help=profile_help)
+    return parser
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -619,10 +587,6 @@ def main(argv: Optional[list] = None) -> int:
                             help="accept bitpacked substitution when an "
                                  "explicitly requested backend is infeasible "
                                  "instead of failing")
-    run_parser.add_argument("--reduce", action="store_true",
-                            help="run the backend on the SPAP-R-reduced "
-                                 "network (reports lifted to original ids) "
-                                 "and print the reduction summary")
 
     figure_parser = sub.add_parser("figure", help="regenerate one table/figure")
     figure_parser.add_argument("name", help=f"one of: {', '.join(_FIGURES)}")
@@ -660,10 +624,6 @@ def main(argv: Optional[list] = None) -> int:
                               help="accept bitpacked substitution on apps "
                                    "where an explicitly requested backend is "
                                    "infeasible instead of failing their rows")
-    sweep_parser.add_argument("--reduce", action="store_true",
-                              help="route --backend executions through the "
-                                   "SPAP-R-reduced network ('+' in the "
-                                   "Reduce column marks reduced runs)")
 
     stats_parser = sub.add_parser(
         "stats",
@@ -681,57 +641,30 @@ def main(argv: Optional[list] = None) -> int:
     stats_parser.add_argument("--no-verify", action="store_true",
                               help="skip fail-fast partition/batch verification")
 
-    verify_parser = sub.add_parser(
-        "verify",
-        help="statically verify applications (networks, partitions, batch plans)",
+    _add_analyzer(
+        sub, "verify",
+        "statically verify applications (networks, partitions, batch plans)",
+        profile_help="profiling fraction for the partition pass",
     )
-    verify_parser.add_argument("apps", nargs="*",
-                               help="application abbreviations (see list-apps)")
-    verify_parser.add_argument("--all", action="store_true",
-                               help="verify every registry application")
-    verify_parser.add_argument("--json", action="store_true",
-                               help="emit a JSON report instead of text")
-    verify_parser.add_argument("--verbose", action="store_true",
-                               help="print warnings and fix hints, not just errors")
-    verify_parser.add_argument("--profile", type=float, default=None,
-                               help="profiling fraction for the partition pass")
 
-    semant_parser = sub.add_parser(
-        "semant",
-        help="semantic static analysis: dead-state proofs, profile-free "
-             "prediction, differential SPAP-S checks (repro.semant)",
+    semant_parser = _add_analyzer(
+        sub, "semant",
+        "semantic static analysis: dead-state proofs, profile-free "
+        "prediction, differential SPAP-S checks (repro.semant)",
+        profile_help="profiling fraction for the differential comparison "
+                     "(default 0.01)",
     )
-    semant_parser.add_argument("apps", nargs="*",
-                               help="application abbreviations (see list-apps)")
-    semant_parser.add_argument("--all", action="store_true",
-                               help="analyze every registry application")
-    semant_parser.add_argument("--json", action="store_true",
-                               help="emit a JSON report instead of text")
-    semant_parser.add_argument("--verbose", action="store_true",
-                               help="print warnings and fix hints, not just errors")
-    semant_parser.add_argument("--profile", type=float, default=None,
-                               help="profiling fraction for the differential "
-                                    "comparison (default 0.01)")
     semant_parser.add_argument("--horizon", type=int, default=None,
                                help="enabling-opportunity horizon for the "
                                     "static predictor (default: input length)")
 
-    cost_parser = sub.add_parser(
-        "cost",
-        help="compilability/cost analysis: DFA-safety proofs, symbol-class "
-             "compression, backend advisories (repro.cost)",
+    cost_parser = _add_analyzer(
+        sub, "cost",
+        "compilability/cost analysis: DFA-safety proofs, symbol-class "
+        "compression, backend advisories (repro.cost)",
+        profile_help="partitioning fraction (default: the standard 1%% "
+                     "operating point)",
     )
-    cost_parser.add_argument("apps", nargs="*",
-                             help="application abbreviations (see list-apps)")
-    cost_parser.add_argument("--all", action="store_true",
-                             help="analyze every registry application")
-    cost_parser.add_argument("--json", action="store_true",
-                             help="emit a JSON report instead of text")
-    cost_parser.add_argument("--verbose", action="store_true",
-                             help="print warnings and fix hints, not just errors")
-    cost_parser.add_argument("--profile", type=float, default=None,
-                             help="partitioning fraction (default: the "
-                                  "standard 1%% operating point)")
     cost_parser.add_argument("--budget", type=int, default=None,
                              help="subset-construction state budget "
                                   "(default 4096)")
@@ -740,23 +673,11 @@ def main(argv: Optional[list] = None) -> int:
                                   "determinization + reference simulation "
                                   "(the SPAP-C001 differential)")
 
-    reduce_parser = sub.add_parser(
-        "reduce",
-        help="equivalence-preserving reduction: bisimulation merges, "
-             "dead-state strips, cost re-pricing (repro.reduce)",
+    reduce_parser = _add_analyzer(
+        sub, "reduce",
+        "equivalence-preserving reduction: bisimulation merges, "
+        "dead-state strips, cost re-pricing (repro.reduce)",
     )
-    reduce_parser.add_argument("apps", nargs="*",
-                               help="application abbreviations (see list-apps)")
-    reduce_parser.add_argument("--all", action="store_true",
-                               help="reduce every registry application")
-    reduce_parser.add_argument("--json", action="store_true",
-                               help="emit a JSON report instead of text")
-    reduce_parser.add_argument("--verbose", action="store_true",
-                               help="print warnings and fix hints, not just errors")
-    reduce_parser.add_argument("--aggressive", action="store_true",
-                               help="also apply the report-exact (witness-"
-                                    "lossy) rules: never-reporting strips "
-                                    "and forward bisimulation")
     reduce_parser.add_argument("--budget", type=int, default=None,
                                help="subset-construction budget for the "
                                     "cost re-pricing (default 4096)")
@@ -792,9 +713,6 @@ def main(argv: Optional[list] = None) -> int:
                                    "dfa (where feasible), lazydfa (the "
                                    "bounded-subset hybrid), or auto "
                                    "(per-app cost advisory)")
-    serve_parser.add_argument("--reduce", action="store_true",
-                              help="serve the SPAP-R-reduced networks "
-                                   "(reports lifted to original state ids)")
     serve_parser.add_argument("--no-warmup", action="store_true",
                               help="skip compiling --apps before binding")
     serve_parser.add_argument("--no-remote-shutdown", action="store_true",

@@ -93,11 +93,9 @@ class AppRun:
         # keep this module import-cycle-free (repro.cost times itself
         # through repro.stats).
         self._cost: Dict[Tuple[float, int], object] = {}
-        # repro.reduce results keyed by mode, and per-(mode, backend)
-        # compiled artifacts of the reduced network; loosely typed for the
-        # same import-cycle reason.
-        self._reductions: Dict[str, object] = {}
-        self._reduced_prepared: Dict[Tuple[str, str], object] = {}
+        # The repro.reduce result; loosely typed for the same import-cycle
+        # reason.
+        self._reduction: Optional[object] = None
 
     # -- construction stages ------------------------------------------------------
 
@@ -346,52 +344,23 @@ class AppRun:
             )
         return self._cost[key]
 
-    def reduction(self, mode: str = "exact"):
+    @property
+    def reduced(self):
         """The cached :class:`~repro.reduce.transform.ReductionResult`.
 
-        ``exact`` (the ``--reduce`` default) preserves reports and witness
-        masks bit for bit; ``aggressive`` preserves the report stream only.
         Reuses the cached semant facts and is timed under the ``reduce``
         stage.
         """
         # Deferred: repro.reduce.app imports this module for the AppRun type.
         from ..reduce.transform import reduce_network
 
-        if mode not in self._reductions:
+        if self._reduction is None:
             with self._lock:
-                if mode not in self._reductions:
+                if self._reduction is None:
                     facts = self.semantics  # timed under its own stage
                     with self.stats.stage("reduce"):
-                        self._reductions[mode] = reduce_network(
-                            self.network, facts, mode=mode
-                        )
-        return self._reductions[mode]
-
-    @property
-    def reduced(self):
-        """The exact-mode reduction (see :meth:`reduction`)."""
-        return self.reduction("exact")
-
-    def reduced_prepared_for(self, backend: str, mode: str = "exact") -> object:
-        """The cached executable artifact of the *reduced* network."""
-        key = (mode, backend)
-        if key not in self._reduced_prepared:
-            with self._lock:
-                if key not in self._reduced_prepared:
-                    network = self.reduction(mode).network
-                    with self.stats.stage("compile_reduced"):
-                        if backend == "reference":
-                            prepared: object = network
-                        elif backend == "dfa":
-                            prepared = compile_dfa(
-                                network, core=self.subset_core(network)
-                            )
-                        elif backend == "lazydfa":
-                            prepared = CompiledLazyDfa(self.subset_core(network))
-                        else:
-                            prepared = self.subset_core(network)
-                    self._reduced_prepared[key] = prepared
-        return self._reduced_prepared[key]
+                        self._reduction = reduce_network(self.network, facts)
+        return self._reduction
 
     # -- backend selection (DESIGN.md §13) -----------------------------------------
 
@@ -406,7 +375,6 @@ class AppRun:
         budget: Optional[int] = None,
         *,
         allow_fallback: Optional[bool] = None,
-        reduce: bool = False,
     ) -> Tuple[str, Engine]:
         """Resolve a backend request for this run's network.
 
@@ -420,11 +388,6 @@ class AppRun:
         name is the engine that will actually execute.  An ``auto`` advisory
         explored at ``compile_dfa``'s default budget is its own check: it
         priced ``dfa`` with the same two gates over this very network.
-
-        With ``reduce=True`` feasibility is checked against the *reduced*
-        network (the one that will execute) — a reduction can make a
-        DFA-unsafe network safe, so the reduced check is both necessary
-        and an opportunity.
         """
         # Deferred: repro.cost imports this module for the AppRun type.
         from ..cost.explore import DEFAULT_DFA_BUDGET
@@ -433,11 +396,10 @@ class AppRun:
         if requested in (None, "auto"):
             advisory = self.backend_advisory(fraction, budget)
             advised = advisory.recommended
-            if not reduce and advisory.exploration.budget == DEFAULT_DFA_BUDGET:
+            if advisory.exploration.budget == DEFAULT_DFA_BUDGET:
                 return advised, get_engine(advised)
-        subject = self.reduction().network if reduce else self.network
         return resolve_backend(
-            requested, subject, advised=advised,
+            requested, self.network, advised=advised,
             allow_fallback=allow_fallback,
         )
 
@@ -450,43 +412,6 @@ class AppRun:
         if backend == "lazydfa":
             return self.compiled_lazydfa
         return self.compiled
-
-    def run_backend(
-        self,
-        requested: Optional[str],
-        input_data: Optional[bytes] = None,
-        *,
-        fraction: float,
-        budget: Optional[int] = None,
-        track_enabled: bool = False,
-        allow_fallback: Optional[bool] = None,
-        reduce: bool = False,
-    ) -> Tuple[str, SimResult]:
-        """Execute the test input (or ``input_data``) on a selected backend.
-
-        Returns ``(backend_actually_used, result)``; results are
-        bit-identical across backends by the cross-engine property gate.
-        With ``reduce=True`` the engine executes the exact-mode reduced
-        network and the result is lifted back to parent global state ids,
-        so reports and witness masks stay bit-identical to an unreduced
-        run (the SPAP-R001 guarantee).
-        """
-        name, engine = self.select_backend(
-            requested, fraction, budget, allow_fallback=allow_fallback,
-            reduce=reduce,
-        )
-        prepared = (
-            self.reduced_prepared_for(name) if reduce else self.prepared_for(name)
-        )
-        with self.stats.stage(f"run_{name}"):
-            result = engine.run(
-                prepared,
-                self.test_input if input_data is None else input_data,
-                track_enabled=track_enabled,
-            )
-        if reduce:
-            result = self.reduction().lift_result(result)
-        return name, result
 
     def stored_app(self, backend: str = "auto", *,
                    fraction: Optional[float] = None) -> "object":

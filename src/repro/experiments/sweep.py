@@ -92,12 +92,9 @@ class AppSweepRow:
     ap_cpu_speedup: float
     resource_saving: float
     seconds: float  # wall time spent computing this row
-    # SPAP-R reduction (repro.reduce): always measured (the exact-mode
-    # transform is cheap and cached); ``reduced`` records whether the
-    # backend execution above actually ran on the reduced network.
+    # SPAP-R reduction (repro.reduce): the transform is cheap and cached.
     n_states_reduced: int = 0
     reduce_saving: float = 0.0
-    reduced: bool = False
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -106,8 +103,7 @@ class AppSweepRow:
 def sweep_app(abbr: str, config: ExperimentConfig,
               fraction: float = DEFAULT_PROFILE_FRACTION,
               backend: Optional[str] = None,
-              backend_fallback: bool = False,
-              reduce: bool = False) -> AppSweepRow:
+              backend_fallback: bool = False) -> AppSweepRow:
     """Compute one application's row (cached via the pipeline's ``AppRun``).
 
     ``backend`` requests a backend execution over the test input:
@@ -118,12 +114,6 @@ def sweep_app(abbr: str, config: ExperimentConfig,
     ``backend_fallback`` opts into bitpacked substitution.  ``None``
     skips execution — the Backend column then shows the advisory's
     recommendation, as before.
-
-    ``reduce`` routes the backend execution through the SPAP-R-reduced
-    network (report-equivalent by construction; DESIGN.md §15), so the
-    MB/s column measures the engine on the smaller state space.  The
-    reduction columns themselves (``n_states_reduced``/``reduce_saving``)
-    are always populated — the exact-mode transform is cheap and cached.
     """
     from ..stats.collect import collect_run_stats
 
@@ -137,12 +127,8 @@ def sweep_app(abbr: str, config: ExperimentConfig,
         name, engine = app_run.select_backend(
             backend, fraction,
             allow_fallback=True if backend_fallback else None,
-            reduce=reduce,
         )
-        prepared = (
-            app_run.reduced_prepared_for(name) if reduce
-            else app_run.prepared_for(name)
-        )
+        prepared = app_run.prepared_for(name)
         data = app_run.test_input
         engine.run(prepared, data)  # warm lazy tables/dispatch paths
         t0 = time.perf_counter()
@@ -190,18 +176,17 @@ def sweep_app(abbr: str, config: ExperimentConfig,
         seconds=time.perf_counter() - began,
         n_states_reduced=stats.reduce_states_after,
         reduce_saving=stats.reduce_saving,
-        reduced=reduce and used_for_stats is not None,
     )
     return row
 
 
 def _sweep_worker(
-    payload: Tuple[str, ExperimentConfig, float, Optional[str], bool, bool]
+    payload: Tuple[str, ExperimentConfig, float, Optional[str], bool]
 ) -> AppSweepRow:
     """Top-level (picklable) worker: one application in one process."""
-    abbr, config, fraction, backend, backend_fallback, reduce = payload
+    abbr, config, fraction, backend, backend_fallback = payload
     try:
-        return sweep_app(abbr, config, fraction, backend, backend_fallback, reduce)
+        return sweep_app(abbr, config, fraction, backend, backend_fallback)
     except Exception as err:
         raise SweepError(abbr, err) from err
 
@@ -214,7 +199,6 @@ def run_sweep(
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
     backend_fallback: bool = False,
-    reduce: bool = False,
 ) -> List[AppSweepRow]:
     """Sweep ``apps`` (default: the whole registry), ``jobs``-wide.
 
@@ -224,8 +208,7 @@ def run_sweep(
     test input per app on the selected engine — see :func:`sweep_app`;
     ``backend_fallback`` permits bitpacked substitution for explicit
     requests that are infeasible on some apps (otherwise those apps fail
-    their rows loudly).  ``reduce`` routes those executions through the
-    SPAP-R-reduced network.
+    their rows loudly).
     """
     targets = list(apps) if apps is not None else app_names()
     for abbr in targets:
@@ -234,10 +217,7 @@ def run_sweep(
     cfg = config or default_config()
     if jobs is None:
         jobs = os.cpu_count() or 1
-    payloads = [
-        (abbr, cfg, fraction, backend, backend_fallback, reduce)
-        for abbr in targets
-    ]
+    payloads = [(abbr, cfg, fraction, backend, backend_fallback) for abbr in targets]
     if jobs <= 1 or len(targets) <= 1:
         return [_sweep_worker(payload) for payload in payloads]
     with ProcessPoolExecutor(max_workers=min(jobs, len(targets))) as executor:
@@ -262,7 +242,7 @@ def render_sweep(rows: Sequence[AppSweepRow]) -> str:
             row.n_classes,
             f"{row.backend}{'*' if row.dfa_safe else ''}",
             f"{row.backend_mb_s:.1f}" if row.backend_mb_s > 0 else "-",
-            f"{100.0 * row.reduce_saving:.1f}%{'+' if row.reduced else ''}",
+            f"{100.0 * row.reduce_saving:.1f}%",
             f"{row.spap_speedup:.2f}x",
             f"{row.ap_cpu_speedup:.2f}x",
             f"{100.0 * row.resource_saving:.1f}%",
@@ -274,9 +254,8 @@ def render_sweep(rows: Sequence[AppSweepRow]) -> str:
     # --backend was requested, the advisory's recommendation); '*' marks
     # networks proven DFA-safe within the default subset-construction
     # budget (repro.cost).  MB/s is '-' unless a backend was executed.
-    # Reduce column: SPAP-R exact-mode state saving; '+' marks rows whose
-    # backend execution actually ran on the reduced network (--reduce).
-    # "Saved" remains the paper's Fig-10 *resource* saving — distinct.
+    # Reduce column: SPAP-R state saving.  "Saved" remains the paper's
+    # Fig-10 *resource* saving — distinct.
     return render_table(
         ["App", "Group", "States", "NFAs", "Hot", "Batches", "Stalls",
          "IRs", "Refills", "PredAcc", "StatAcc", "Classes", "Backend",

@@ -110,10 +110,6 @@ class Topology:
             return np.zeros(self.topo_order.shape, dtype=float)
         return self.topo_order / float(self.max_order)
 
-    def layer_states(self, order: int) -> np.ndarray:
-        """State ids whose topological order equals ``order``."""
-        return np.flatnonzero(self.topo_order == order)
-
 
 def analyze_automaton(automaton: Automaton) -> Topology:
     """Compute SCCs and topological order for one automaton."""
@@ -157,9 +153,6 @@ class NetworkTopology:
     topo_order: np.ndarray  # global-state topological order
     normalized_depth: np.ndarray  # global-state normalized depth
     max_topo: int  # max order across automata (Table II "MaxTopo")
-
-    def automaton_topology(self, index: int) -> Topology:
-        return self.per_automaton[index]
 
 
 def analyze_network(network: Network) -> NetworkTopology:

@@ -1,30 +1,20 @@
 """Equivalence-preserving automata reduction (the SPAP-R analyzer).
 
 The fourth static analyzer beside ``repro.verify`` / ``repro.semant`` /
-``repro.cost``: a partition-refinement engine (forward and backward
-bisimulation over the homogeneous NFA semantics) fused with semant's
-dead / never-reporting proofs into a :func:`reduce_network` transform
-that emits a provably report-equivalent smaller network, per-merge proof
-artifacts, and a state-mapping table for lifting reports and witness
-masks back to original global state ids.  DESIGN.md §15 documents the
-algorithm and the soundness argument; findings surface through
-``verify.diagnostics`` as the SPAP-R rule family.
+``repro.cost``: backward-bisimulation partition refinement over the
+homogeneous NFA semantics, fused with semant's dead-state proofs into a
+:func:`reduce_network` transform that emits a smaller network, per-merge
+proof artifacts, and a state-mapping table that lifts reports and witness
+masks back to original global state ids bit for bit.  DESIGN.md §15
+documents the algorithm and the soundness argument; findings surface
+through ``verify.diagnostics`` as the SPAP-R rule family.
 """
 
 from .app import ReduceOutcome, ReduceSummary, analyze_run_reduce, reduce_app
-from .partition import (
-    Partition,
-    initial_partition,
-    refine_backward,
-    refine_forward,
-    refinement_round,
-)
+from .partition import Partition, initial_partition, refine_backward, refinement_round
 from .transform import (
-    MODES,
     RULE_BACKWARD,
     RULE_DEAD,
-    RULE_FORWARD,
-    RULE_NEVER,
     MergeProof,
     ReductionResult,
     element_pinned_gids,
@@ -33,11 +23,8 @@ from .transform import (
 )
 
 __all__ = [
-    "MODES",
     "RULE_BACKWARD",
     "RULE_DEAD",
-    "RULE_FORWARD",
-    "RULE_NEVER",
     "Partition",
     "MergeProof",
     "ReductionResult",
@@ -50,6 +37,5 @@ __all__ = [
     "reduce_element_network",
     "reduce_network",
     "refine_backward",
-    "refine_forward",
     "refinement_round",
 ]

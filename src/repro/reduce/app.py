@@ -4,8 +4,7 @@ Drives the cached experiment pipeline exactly as ``verify_app`` /
 ``semant_app`` / ``cost_app`` do, but through the SPAP-R reducer: build
 the scaled network, reduce it, structurally verify the mapping and merge
 classes (SPAP-R002/R003 — always on), re-price the parent and reduced
-networks through the cost model's :func:`advise_network` (the
-"reduction flips an app DFA-unsafe -> safe" interplay), and optionally
+networks through the cost model's :func:`advise_network`, and optionally
 replay the reduced network through ``sim/reference.py`` against the
 pipeline's truth run (SPAP-R001 — the soundness gate).  Used by the
 ``python -m repro reduce`` CLI, the stats collector, the sweep column,
@@ -41,17 +40,13 @@ class ReduceSummary:
     """Reduction accounting plus the cost-model interplay for one app."""
 
     app: str
-    mode: str
     budget: int
     states_before: int
     states_after: int
     n_automata_before: int
     n_automata_after: int
     n_dead_stripped: int
-    n_never_stripped: int
     n_backward_merged: int
-    n_forward_merged: int
-    aggressive_extra_saved: int
     baseline_batches_before: int
     baseline_batches_after: int
     dfa_safe_before: bool
@@ -95,7 +90,6 @@ class ReduceSummary:
     def to_json(self) -> Dict[str, object]:
         return {
             "app": self.app,
-            "mode": self.mode,
             "budget": self.budget,
             "states_before": self.states_before,
             "states_after": self.states_after,
@@ -105,11 +99,8 @@ class ReduceSummary:
             "n_automata_after": self.n_automata_after,
             "merges": {
                 "dead_stripped": self.n_dead_stripped,
-                "never_reporting_stripped": self.n_never_stripped,
                 "backward_merged": self.n_backward_merged,
-                "forward_merged": self.n_forward_merged,
             },
-            "aggressive_extra_saved": self.aggressive_extra_saved,
             "baseline_batches_before": self.baseline_batches_before,
             "baseline_batches_after": self.baseline_batches_after,
             "cost": {
@@ -128,9 +119,8 @@ class ReduceSummary:
     def render(self) -> str:
         lines = [
             f"{self.app}: {self.states_before} -> {self.states_after} states "
-            f"({100.0 * self.saving:.1f}% saved, mode={self.mode}; "
-            f"{self.n_dead_stripped} dead, {self.n_never_stripped} never-reporting, "
-            f"{self.n_backward_merged} backward, {self.n_forward_merged} forward)"
+            f"({100.0 * self.saving:.1f}% saved; "
+            f"{self.n_dead_stripped} dead, {self.n_backward_merged} backward)"
         ]
         safe = f"dfa_safe {self.dfa_safe_before} -> {self.dfa_safe_after}"
         table = f"table {self.table_bytes_before} -> {self.table_bytes_after} B"
@@ -244,12 +234,11 @@ def _check_mapping(
             location=where,
         )
     n_stripped = int((~kept).sum())
-    n_claimed = reduction.n_dead_stripped + reduction.n_never_stripped
-    if n_stripped != n_claimed:
+    if n_stripped != reduction.n_dead_stripped:
         report.emit(
             "SPAP-R002",
             f"{n_stripped} parent states map to -1 but the strip proofs "
-            f"account for {n_claimed}",
+            f"account for {reduction.n_dead_stripped}",
             location=where,
         )
 
@@ -284,7 +273,7 @@ def _check_replay(
     truth = run.truth
     reduced_result = reference_run(reduction.network, run.test_input)
     lifted = reduction.lift_result(reduced_result)
-    where = f"{run.spec.abbr} [{reduction.mode}]"
+    where = run.spec.abbr
     if not reports_equal(lifted.reports, truth.reports):
         report.emit(
             "SPAP-R001",
@@ -292,17 +281,16 @@ def _check_replay(
             f"({lifted.reports.shape[0]} vs {truth.reports.shape[0]} reports)",
             location=where,
         )
-    if reduction.witness_exact:
-        n = run.network.n_states
-        lifted_mask = bitops.to_bool(lifted.ever_enabled, n)
-        truth_mask = bitops.to_bool(truth.ever_enabled, n)
-        if not np.array_equal(lifted_mask, truth_mask):
-            diff = int(np.count_nonzero(lifted_mask != truth_mask))
-            report.emit(
-                "SPAP-R001",
-                f"lifted witness mask differs from the truth on {diff} states",
-                location=where,
-            )
+    n = run.network.n_states
+    lifted_mask = bitops.to_bool(lifted.ever_enabled, n)
+    truth_mask = bitops.to_bool(truth.ever_enabled, n)
+    if not np.array_equal(lifted_mask, truth_mask):
+        diff = int(np.count_nonzero(lifted_mask != truth_mask))
+        report.emit(
+            "SPAP-R001",
+            f"lifted witness mask differs from the truth on {diff} states",
+            location=where,
+        )
 
 
 def _baseline_batches(network: Network, capacity: int) -> int:
@@ -322,7 +310,6 @@ def _baseline_batches(network: Network, capacity: int) -> int:
 def analyze_run_reduce(
     run: AppRun,
     *,
-    mode: str = "exact",
     budget: int = DEFAULT_DFA_BUDGET,
     model: CostModel = DEFAULT_COST_MODEL,
     check: bool = False,
@@ -335,7 +322,7 @@ def analyze_run_reduce(
     witness masks against the unreduced truth (SPAP-R001) — the expensive
     half, on by default only in the CI gate and the CLI's ``--check``.
     """
-    reduction = run.reduction(mode)
+    reduction = run.reduced
     parent = run.network
     report = VerificationReport(subject=f"{run.spec.abbr} [reduce]")
     with run.stats.stage("reduce"):
@@ -344,21 +331,10 @@ def analyze_run_reduce(
         if reduction.saved_states == 0:
             report.emit(
                 "SPAP-R004",
-                "network is already minimal under the "
-                f"{reduction.mode!r} rule families",
+                "network is already minimal: no dead state and no two "
+                "backward-bisimilar states",
                 location=run.spec.abbr,
             )
-        aggressive_extra = 0
-        if mode == "exact":
-            aggressive = run.reduction("aggressive")
-            aggressive_extra = aggressive.saved_states - reduction.saved_states
-            if aggressive_extra > 0:
-                report.emit(
-                    "SPAP-R005",
-                    f"aggressive mode would save {aggressive_extra} more "
-                    "states (reports-only; witness masks become lossy)",
-                    location=run.spec.abbr,
-                )
         horizon = run.config.input_len
         before = advise_network(parent, budget=budget, horizon=horizon, model=model)
         after: Optional[BackendAdvisory] = None
@@ -375,17 +351,13 @@ def analyze_run_reduce(
     capacity = run.config.half_core.capacity
     summary = ReduceSummary(
         app=run.spec.abbr,
-        mode=reduction.mode,
         budget=budget,
         states_before=reduction.parent_n_states,
         states_after=reduction.n_states,
         n_automata_before=parent.n_automata,
         n_automata_after=reduction.network.n_automata,
         n_dead_stripped=reduction.n_dead_stripped,
-        n_never_stripped=reduction.n_never_stripped,
         n_backward_merged=reduction.n_backward_merged,
-        n_forward_merged=reduction.n_forward_merged,
-        aggressive_extra_saved=aggressive_extra,
         baseline_batches_before=_baseline_batches(parent, capacity),
         baseline_batches_after=_baseline_batches(reduction.network, capacity),
         dfa_safe_before=before.dfa_safe,
@@ -404,17 +376,16 @@ def reduce_app(
     abbr: str,
     config: Optional[ExperimentConfig] = None,
     *,
-    mode: str = "exact",
     budget: int = DEFAULT_DFA_BUDGET,
     model: CostModel = DEFAULT_COST_MODEL,
     check: bool = False,
 ) -> ReduceOutcome:
     """Reduce one application end-to-end.
 
-    Builds the scaled network, reduces it (exact mode by default: strips
-    proven-dead states and merges backward-bisimilar ones, preserving
-    reports *and* witness masks bit for bit), and re-prices both networks
-    through the cost model.  Never raises on findings.
+    Builds the scaled network, reduces it (strips proven-dead states and
+    merges backward-bisimilar ones, preserving reports *and* witness masks
+    bit for bit), and re-prices both networks through the cost model.
+    Never raises on findings.
     """
     cfg = config or default_config()
     if cfg.verify:
@@ -422,4 +393,4 @@ def reduce_app(
         cfg = replace(cfg, verify=False)
     spec = get_app(abbr)  # raises KeyError for unknown apps (CLI maps to exit 2)
     run = AppRun(spec, cfg)
-    return analyze_run_reduce(run, mode=mode, budget=budget, model=model, check=check)
+    return analyze_run_reduce(run, budget=budget, model=model, check=check)

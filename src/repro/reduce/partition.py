@@ -1,34 +1,25 @@
-"""Bisimulation partition refinement over homogeneous NFAs.
+"""Backward-bisimulation partition refinement over homogeneous NFAs.
 
-The reducer's merge rules are the two classical bisimulation quotients,
-specialized to the AP's homogeneous execution semantics (symbol-set on the
-state, edge ``u -> v`` meaning "``u`` activated => ``v`` enabled next
-cycle"):
+The reducer's one merge rule is the classical backward bisimulation
+quotient, specialized to the AP's homogeneous execution semantics
+(symbol-set on the state, edge ``u -> v`` meaning "``u`` activated =>
+``v`` enabled next cycle"): two states are equivalent iff they are
+*enabled at exactly the same input positions* on every input.
+Enabledness at position ``t+1`` is determined by the start kind plus the
+set of predecessors activated at ``t``; activation of a predecessor
+depends only on its enabledness and its symbol-set — both class
+functions once the initial partition keys on the full attribute tuple.
+The per-round signature therefore reduces to the *set of predecessor
+classes*, with ``ALL_INPUT`` starts held constant (they are enabled at
+every position regardless of predecessors).  Merging a class changes
+neither reports nor witness (ever-enabled) masks: the quotient state is
+enabled exactly when every member would have been.
 
-* **Backward bisimulation** (:func:`refine_backward`): two states are
-  equivalent iff they are *enabled at exactly the same input positions* on
-  every input.  Enabledness at position ``t+1`` is determined by the start
-  kind plus the set of predecessors activated at ``t``; activation of a
-  predecessor depends only on its enabledness and its symbol-set — both
-  class functions once the initial partition keys on the full attribute
-  tuple.  The per-round signature therefore reduces to the *set of
-  predecessor classes*, with ``ALL_INPUT`` starts held constant (they are
-  enabled at every position regardless of predecessors).  Merging a
-  backward class changes neither reports nor witness (ever-enabled) masks:
-  the quotient state is enabled exactly when every member would have been.
-
-* **Forward bisimulation** (:func:`refine_forward`): the time-reversed
-  dual — equivalent states have the same *observable future*, signature =
-  set of successor classes.  Merging a forward class preserves the report
-  stream but NOT per-member enabledness (the quotient state is enabled
-  when *any* member would have been), so the transform layer only applies
-  it to non-reporting states in the lossy ``aggressive`` mode.
-
-Both directions iterate :func:`refinement_round` to a fixpoint.  Classes
-only ever split, so the loop terminates in at most ``n_states`` rounds;
-the output partition is the *coarsest* stable refinement of the initial
-attribute partition, which makes the quotient idempotent (reducing a
-reduced automaton finds only singleton classes).
+:func:`refine_backward` iterates :func:`refinement_round` to a fixpoint.
+Classes only ever split, so the loop terminates in at most ``n_states``
+rounds; the output partition is the *coarsest* stable refinement of the
+initial attribute partition, which makes the quotient idempotent
+(reducing a reduced automaton finds only singleton classes).
 
 ``pinned`` states (e.g. STEs referenced by :class:`~repro.nfa.elements`
 counter/gate signals, whose individual activations are externally
@@ -47,12 +38,11 @@ __all__ = [
     "initial_partition",
     "refinement_round",
     "refine_backward",
-    "refine_forward",
 ]
 
-#: One refinement signature: (current class, frozen set of neighbor classes).
-#: ``None`` neighbors mark states whose enabledness ignores the neighborhood
-#: (``ALL_INPUT`` starts in the backward direction).
+#: One refinement signature: (current class, frozen set of predecessor
+#: classes).  ``None`` marks states whose enabledness ignores their
+#: predecessors (``ALL_INPUT`` starts).
 _Signature = Tuple[int, Optional[FrozenSet[int]]]
 
 
@@ -108,7 +98,7 @@ def _attribute_key(state: State) -> Tuple[object, ...]:
     Everything the execution semantics reads off a state is here: symbol
     mask (activation condition), start kind (base enabledness), reporting /
     report code / eod (observable output).  Two states may only ever share a
-    class if they agree on all of it, in both refinement directions.
+    class if they agree on all of it.
     """
     return (
         state.symbol_set.mask,
@@ -134,59 +124,32 @@ def initial_partition(
     return _canonical(class_of)
 
 
-def refinement_round(
-    automaton: Automaton,
-    class_of: Sequence[int],
-    *,
-    backward: bool = True,
-) -> Partition:
+def refinement_round(automaton: Automaton, class_of: Sequence[int]) -> Partition:
     """One signature-splitting round from an arbitrary starting partition.
 
     Exposed separately so property tests can check the fixpoint law: a
-    round applied to :func:`refine_backward`'s (or forward's) output must
-    leave the number of classes unchanged.
+    round applied to :func:`refine_backward`'s output must leave the
+    number of classes unchanged.
     """
     if len(class_of) != automaton.n_states:
         raise ValueError(
             f"partition covers {len(class_of)} states, "
             f"automaton has {automaton.n_states}"
         )
-    if backward:
-        neighbors: List[Sequence[int]] = [
-            tuple(p) for p in automaton.predecessors_map()
-        ]
-        # An ALL_INPUT start is enabled at every position no matter what its
-        # predecessors do, so its signature must not split on them.
-        ignore = [s.start is StartKind.ALL_INPUT for s in automaton.states()]
-    else:
-        neighbors = [automaton.successors(sid) for sid in range(automaton.n_states)]
-        ignore = [False] * automaton.n_states
     signatures: Dict[_Signature, int] = {}
     refined: List[int] = []
-    for sid in range(automaton.n_states):
-        if ignore[sid]:
-            signature: _Signature = (class_of[sid], None)
+    for state, preds in zip(automaton.states(), automaton.predecessors_map()):
+        # An ALL_INPUT start is enabled at every position no matter what its
+        # predecessors do, so its signature must not split on them.
+        if state.start is StartKind.ALL_INPUT:
+            signature: _Signature = (class_of[state.sid], None)
         else:
             signature = (
-                class_of[sid],
-                frozenset(class_of[u] for u in neighbors[sid]),
+                class_of[state.sid],
+                frozenset(class_of[u] for u in preds),
             )
         refined.append(signatures.setdefault(signature, len(signatures)))
     return _canonical(refined)
-
-
-def _refine(
-    automaton: Automaton,
-    pinned: Optional[Iterable[int]],
-    *,
-    backward: bool,
-) -> Partition:
-    partition = initial_partition(automaton, pinned)
-    while True:
-        refined = refinement_round(automaton, partition.class_of, backward=backward)
-        if refined.n_classes == partition.n_classes:
-            return partition
-        partition = refined
 
 
 def refine_backward(
@@ -201,16 +164,9 @@ def refine_backward(
     because activation of a predecessor at ``t`` depends only on its class's
     shared enabledness and shared symbol mask).
     """
-    return _refine(automaton, pinned, backward=True)
-
-
-def refine_forward(
-    automaton: Automaton, pinned: Optional[Iterable[int]] = None
-) -> Partition:
-    """Coarsest forward-bisimulation partition (same observable future).
-
-    Only sound for the *report stream* when merged states are non-reporting
-    (the transform enforces this by pinning reporters); per-state
-    enabledness is not preserved, so exact-mode reductions never use it.
-    """
-    return _refine(automaton, pinned, backward=False)
+    partition = initial_partition(automaton, pinned)
+    while True:
+        refined = refinement_round(automaton, partition.class_of)
+        if refined.n_classes == partition.n_classes:
+            return partition
+        partition = refined

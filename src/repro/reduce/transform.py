@@ -1,36 +1,23 @@
 """Equivalence-preserving network reduction (the SPAP-R transform).
 
-``reduce_network`` fuses three rule families into one pass over a
+``reduce_network`` applies two rules in one pass over a
 :class:`~repro.nfa.automaton.Network`, emitting a smaller network together
 with a per-merge :class:`MergeProof` artifact and a state-mapping table so
 every downstream consumer (witness masks, Table I truth comparisons,
 report streams) can be lifted back to original global state ids:
 
 * **dead-strip** — drop states semant's forward abstract interpretation
-  proves unenableable (``SemanticFacts.statically_dead``).  Exact for
-  reports and witnesses: a state that is never enabled contributes no
-  report and its witness bit is identically zero.
-* **never-reporting-strip** (``aggressive`` mode only) — drop live states
-  whose activity provably never reaches a reporter
-  (``SemanticFacts.never_reporting``).  Report-exact but witness-lossy
-  (stripped states may genuinely be enabled), hence gated behind the
-  lossy mode.
+  proves unenableable (``SemanticFacts.statically_dead``).  A state that
+  is never enabled contributes no report and its witness bit is
+  identically zero; its out-edges never fire, so dropping them (via
+  ``Automaton.induced``) changes nothing.
 * **backward-bisim merge** — quotient each automaton by
-  :func:`~repro.reduce.partition.refine_backward`.  Exact for both
-  reports and witnesses: all members of a class are enabled at identical
-  positions, so the expansion lift reconstructs the parent run bit for
-  bit.
-* **forward-bisim merge** (``aggressive`` mode only) — quotient by
-  :func:`~repro.reduce.partition.refine_forward` with every reporting
-  state pinned, merging only non-reporting states with identical
-  observable futures.  Report-exact; the lifted witness over-approximates
-  (a merged bit ORs its members).
+  :func:`~repro.reduce.partition.refine_backward`.  All members of a class
+  are enabled at identical positions, so the expansion lift reconstructs
+  the parent run bit for bit.
 
-Strip soundness depends on a closure property of semant's backward pass:
-``can_report`` propagates only through states whose own symbol-set is
-non-empty, so every in-edge into the kept set from a stripped state
-originates at a state that can never *activate* — dropping the edge (via
-``Automaton.induced``) changes nothing.
+Both rules are exact: lifted reports *and* witness masks are
+bit-identical to the parent's.
 
 Automata left empty by stripping are removed from the reduced network
 (``dropped_automata``); their states map to ``-1`` like any stripped
@@ -44,7 +31,7 @@ boundary (DESIGN.md §15).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,14 +40,11 @@ from ..nfa.automaton import Automaton, Network, StartKind
 from ..nfa.elements import Counter, ElementNetwork, Gate, Signal
 from ..semant.absint import SemanticFacts, analyze_network_semantics
 from ..sim.result import SimResult, reports_to_array
-from .partition import Partition, refine_backward, refine_forward
+from .partition import Partition, refine_backward
 
 __all__ = [
-    "MODES",
     "RULE_DEAD",
-    "RULE_NEVER",
     "RULE_BACKWARD",
-    "RULE_FORWARD",
     "MergeProof",
     "ReductionResult",
     "reduce_network",
@@ -68,15 +52,8 @@ __all__ = [
     "reduce_element_network",
 ]
 
-#: Reduction modes: ``exact`` preserves reports AND witness masks bit for
-#: bit; ``aggressive`` preserves reports only (never-reporting strips and
-#: forward merges lose per-state enabledness).
-MODES: Tuple[str, ...] = ("exact", "aggressive")
-
 RULE_DEAD = "dead-strip"
-RULE_NEVER = "never-reporting-strip"
 RULE_BACKWARD = "backward-bisim"
-RULE_FORWARD = "forward-bisim"
 
 
 @dataclass(frozen=True)
@@ -112,16 +89,13 @@ class ReductionResult:
     -> parent global ids, ascending).
     """
 
-    mode: str
     parent: Network
     network: Network
     state_map: np.ndarray
     members: Tuple[Tuple[int, ...], ...]
     proofs: Tuple[MergeProof, ...]
     n_dead_stripped: int
-    n_never_stripped: int
     n_backward_merged: int
-    n_forward_merged: int
     dropped_automata: Tuple[int, ...]
 
     # -- accounting ----------------------------------------------------------
@@ -144,28 +118,19 @@ class ReductionResult:
             return 0.0
         return self.saved_states / float(self.parent_n_states)
 
-    @property
-    def witness_exact(self) -> bool:
-        """Whether lifted witness masks are bit-identical to the parent's."""
-        return self.mode == "exact"
-
     def merges_by_rule(self) -> Dict[str, int]:
-        """States eliminated per rule (the schema-v5 ``merges`` section)."""
+        """States eliminated per rule."""
         return {
             RULE_DEAD: self.n_dead_stripped,
-            RULE_NEVER: self.n_never_stripped,
             RULE_BACKWARD: self.n_backward_merged,
-            RULE_FORWARD: self.n_forward_merged,
         }
 
     def to_json(self) -> Dict[str, object]:
         return {
-            "mode": self.mode,
             "states_before": self.parent_n_states,
             "states_after": self.n_states,
             "saved_states": self.saved_states,
             "saving": self.saving_fraction,
-            "witness_exact": self.witness_exact,
             "merges": self.merges_by_rule(),
             "dropped_automata": list(self.dropped_automata),
             "proofs": [proof.to_json() for proof in self.proofs],
@@ -176,8 +141,7 @@ class ReductionResult:
     def lift_reports(self, reports: np.ndarray) -> np.ndarray:
         """Expand reduced-id reports to parent-id reports.
 
-        Exact in both modes: reporting states are only ever merged by the
-        backward rule, whose members fire at identical positions with
+        The members of a backward class fire at identical positions with
         identical report attributes, so one reduced report expands to one
         report per member.
         """
@@ -193,10 +157,8 @@ class ReductionResult:
     def lift_witness(self, ever_enabled: np.ndarray) -> np.ndarray:
         """Lift a packed reduced witness bitset to parent global ids.
 
-        Bit-exact in ``exact`` mode (each member shares its class's
-        enabledness; stripped states were provably never enabled).  In
-        ``aggressive`` mode the result over-approximates forward-merged
-        members and zeroes never-reporting strips.
+        Bit-exact: each member shares its class's enabledness, and
+        stripped states were provably never enabled.
         """
         parent_n = self.parent_n_states
         reduced_bits = bitops.to_bool(ever_enabled, self.n_states)
@@ -214,30 +176,6 @@ class ReductionResult:
             reports=self.lift_reports(result.reports),
             ever_enabled=self.lift_witness(result.ever_enabled),
         )
-
-
-def _observable_cone(automaton: Automaton, seeds: Iterable[int]) -> np.ndarray:
-    """Backward closure of ``seeds`` through activatable states.
-
-    Mirrors semant's ``_backward_can_report``: activity propagates to a
-    predecessor only if that predecessor's own symbol-set is non-empty
-    (otherwise it can never activate and so never hands activity on).
-    Seeds themselves are observable unconditionally.
-    """
-    observable = np.zeros(automaton.n_states, dtype=bool)
-    queue: List[int] = []
-    for sid in seeds:
-        if not observable[sid]:
-            observable[sid] = True
-            queue.append(sid)
-    preds = automaton.predecessors_map()
-    while queue:
-        v = queue.pop()
-        for u in preds[v]:
-            if not observable[u] and automaton.state(u).symbol_set:
-                observable[u] = True
-                queue.append(u)
-    return observable
 
 
 def _quotient(automaton: Automaton, partition: Partition) -> Automaton:
@@ -269,17 +207,14 @@ def reduce_network(
     network: Network,
     facts: Optional[SemanticFacts] = None,
     *,
-    mode: str = "exact",
     pinned: Optional[Iterable[int]] = None,
 ) -> ReductionResult:
-    """Reduce a network; see the module docstring for the rule families.
+    """Reduce a network; see the module docstring for the two rules.
 
     ``facts`` defaults to a fresh :func:`analyze_network_semantics` pass.
     ``pinned`` global ids are kept verbatim and never merged (used for
     gate-boundary STEs; empty on the plain pipeline path).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown reduction mode {mode!r} (choose from {MODES})")
     if facts is None:
         facts = analyze_network_semantics(network)
     offsets = network.offsets()
@@ -293,7 +228,7 @@ def reduce_network(
     members: List[Tuple[int, ...]] = []
     proofs: List[MergeProof] = []
     dropped: List[int] = []
-    n_dead = n_never = n_backward = n_forward = 0
+    n_dead = n_backward = 0
     reduced_base = 0
 
     for a_idx, automaton in enumerate(network.automata):
@@ -304,19 +239,11 @@ def reduce_network(
             gid - base for gid in pinned_gids if base <= gid < base + n
         )
 
-        # -- strip passes ---------------------------------------------------
+        # -- dead strip -----------------------------------------------------
         keep = auto_facts.enableable.copy()
         for sid in pinned_local:
             keep[sid] = True
         dead = [sid for sid in range(n) if not keep[sid]]
-        never: List[int] = []
-        if mode == "aggressive":
-            observable = auto_facts.can_report.copy()
-            if pinned_local:
-                observable |= _observable_cone(automaton, pinned_local)
-            never = [sid for sid in range(n) if keep[sid] and not observable[sid]]
-            for sid in never:
-                keep[sid] = False
         keep_ids = [sid for sid in range(n) if keep[sid]]
         # Corner: a pinned-but-dead STE can survive alone; re-add the start
         # states so the reduced automaton stays structurally valid (starts
@@ -326,11 +253,8 @@ def reduce_network(
                 keep[sid] = True
                 if sid in dead:
                     dead.remove(sid)
-                if sid in never:
-                    never.remove(sid)
             keep_ids = [sid for sid in range(n) if keep[sid]]
         n_dead += len(dead)
-        n_never += len(never)
         if dead:
             proofs.append(
                 MergeProof(
@@ -341,52 +265,25 @@ def reduce_network(
                     reason="inflow = ∅: no input string ever enables these states",
                 )
             )
-        if never:
-            proofs.append(
-                MergeProof(
-                    rule=RULE_NEVER,
-                    automaton=a_idx,
-                    parent_states=tuple(base + sid for sid in never),
-                    survivor=-1,
-                    reason="no activation path reaches a reporter or pinned STE",
-                )
-            )
         if not keep_ids:
             dropped.append(a_idx)
             continue
 
         induced, old_to_new = automaton.induced(keep_ids)
 
-        # -- backward-bisimulation quotient (both modes) --------------------
+        # -- backward-bisimulation quotient ----------------------------------
         pinned_induced = {old_to_new[sid] for sid in pinned_local if keep[sid]}
         bpart = refine_backward(induced, pinned_induced)
         n_backward += bpart.n_merged
         merged = _quotient(induced, bpart)
-
-        # -- forward-bisimulation quotient (aggressive only) ----------------
-        if mode == "aggressive":
-            forced = {
-                cid
-                for cid in range(merged.n_states)
-                if merged.state(cid).reporting
-            }
-            forced |= {bpart.class_of[sid] for sid in pinned_induced}
-            fpart = refine_forward(merged, forced)
-            n_forward += fpart.n_merged
-            final_automaton = _quotient(merged, fpart)
-            f_class_of: Sequence[int] = fpart.class_of
-        else:
-            final_automaton = merged
-            f_class_of = range(merged.n_states)
-
-        final_automaton.validate()
+        merged.validate()
 
         # -- mapping + merge proofs -----------------------------------------
-        local_members: List[List[int]] = [[] for _ in range(final_automaton.n_states)]
+        local_members: List[List[int]] = [[] for _ in range(merged.n_states)]
         for sid in keep_ids:
-            final_local = f_class_of[bpart.class_of[old_to_new[sid]]]
-            state_map[base + sid] = reduced_base + final_local
-            local_members[final_local].append(base + sid)
+            local = bpart.class_of[old_to_new[sid]]
+            state_map[base + sid] = reduced_base + local
+            local_members[local].append(base + sid)
         for group in bpart.members():
             if len(group) > 1:
                 parent_ids = tuple(base + keep_ids[new_sid] for new_sid in group)
@@ -400,44 +297,22 @@ def reduce_network(
                         "(backward bisimulation fixpoint)",
                     )
                 )
-        if mode == "aggressive":
-            for fgroup in fpart.members():
-                if len(fgroup) > 1:
-                    survivor = reduced_base + f_class_of[fgroup[0]]
-                    parent_ids = tuple(
-                        gid
-                        for cid in fgroup
-                        for gid in local_members[f_class_of[cid]]
-                    )
-                    proofs.append(
-                        MergeProof(
-                            rule=RULE_FORWARD,
-                            automaton=a_idx,
-                            parent_states=tuple(sorted(set(parent_ids))),
-                            survivor=survivor,
-                            reason="identical observable futures, none reporting "
-                            "(forward bisimulation fixpoint)",
-                        )
-                    )
         members.extend(tuple(group) for group in local_members)
-        reduced_automata.append(final_automaton)
-        reduced_base += final_automaton.n_states
+        reduced_automata.append(merged)
+        reduced_base += merged.n_states
 
     reduced = Network(
-        name=f"{network.name}:reduced[{mode}]" if network.name else f"reduced[{mode}]",
+        name=f"{network.name}:reduced" if network.name else "reduced",
         automata=reduced_automata,
     )
     return ReductionResult(
-        mode=mode,
         parent=network,
         network=reduced,
         state_map=state_map,
         members=tuple(members),
         proofs=tuple(proofs),
         n_dead_stripped=n_dead,
-        n_never_stripped=n_never,
         n_backward_merged=n_backward,
-        n_forward_merged=n_forward,
         dropped_automata=tuple(dropped),
     )
 
@@ -468,7 +343,7 @@ def element_pinned_gids(element_network: ElementNetwork) -> FrozenSet[int]:
 
 
 def reduce_element_network(
-    element_network: ElementNetwork, *, mode: str = "exact"
+    element_network: ElementNetwork,
 ) -> Tuple[ElementNetwork, ReductionResult]:
     """Reduce the STE substrate of an :class:`ElementNetwork`.
 
@@ -495,7 +370,7 @@ def reduce_element_network(
             state.start = StartKind.ALL_INPUT
     facts = analyze_network_semantics(shadow)
 
-    reduction = reduce_network(network, facts, mode=mode, pinned=pins)
+    reduction = reduce_network(network, facts, pinned=pins)
     mapping = reduction.state_map
 
     def _remap_signal(signal: Signal) -> Signal:

@@ -61,9 +61,6 @@ class ServerOptions:
     #: Batch engine: "bitpacked" (default), "dfa"/"lazydfa" (forced where
     #: feasible), or "auto" (per-app cost advisory) — DESIGN.md §13.
     backend: str = "bitpacked"
-    #: Serve SPAP-R-reduced networks (DESIGN.md §15); replies carry
-    #: original state ids via the reduction's lifting table.
-    reduce: bool = False
 
     def policy(self) -> BatchPolicy:
         return BatchPolicy(max_batch=self.max_batch,
@@ -81,7 +78,6 @@ class MatchServer:
         self.state = ServeState(config, apps=apps,
                                 max_apps=self.options.max_apps,
                                 backend=self.options.backend,
-                                reduce=self.options.reduce,
                                 timer=self.timer)
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(1, self.options.workers),

@@ -65,12 +65,6 @@ class AppEntry:
     backend: str = "bitpacked"
     dfa: Optional[CompiledDFA] = None
     lazydfa: Optional[CompiledLazyDfa] = None
-    #: SPAP-R reduction artifact when the server runs reduced networks
-    #: (``ServeState(reduce=True)``): every result is lifted through its
-    #: state-mapping table so replies carry *original* state ids — clients
-    #: never observe whether the server reduced.  (Typed loosely to keep
-    #: this module import-light; it is a ``repro.reduce.ReductionResult``.)
-    reduction: Optional[object] = None
 
     @property
     def prepared(self) -> object:
@@ -90,11 +84,7 @@ class AppEntry:
         """
         run = get_engine(self.backend).run
         prepared = self.prepared
-        results = [run(prepared, stream) for stream in streams]
-        if self.reduction is not None:
-            lift = self.reduction.lift_result  # type: ignore[attr-defined]
-            results = [lift(result) for result in results]
-        return results
+        return [run(prepared, stream) for stream in streams]
 
 
 class ServeState:
@@ -102,7 +92,7 @@ class ServeState:
 
     def __init__(self, config: Optional[ExperimentConfig] = None, *,
                  apps: Optional[List[str]] = None, max_apps: int = 8,
-                 backend: str = "bitpacked", reduce: bool = False,
+                 backend: str = "bitpacked",
                  timer: Optional[StageTimer] = None) -> None:
         # "multistream", the name of the former lock-step engine, is still
         # accepted as a synonym for the default.
@@ -115,9 +105,6 @@ class ServeState:
             )
         self.config = config or default_config()
         self.backend = backend
-        #: Serve the SPAP-R-reduced (exact-mode, report-equivalent) form of
-        #: every network; replies are lifted back to original state ids.
-        self.reduce = reduce
         self.timer = timer if timer is not None else StageTimer()
         self.max_apps = max(1, max_apps)
         #: Canonical abbreviations this server agrees to serve (None = any
@@ -161,19 +148,10 @@ class ServeState:
         advisory), so a non-bitpacked server backend selects on
         feasibility alone: ``dfa``/``auto`` take the table engine when the
         network is proven safe, ``lazydfa`` (or ``auto`` on an unsafe
-        network) takes the hybrid.  Under ``reduce=True`` the injected
-        network is reduced exactly like a registry one.
+        network) takes the hybrid.
         """
-        reduction = None
-        if self.reduce:
-            from ..reduce.transform import reduce_network
-
-            with self.timer.stage("reduce"):
-                reduction = reduce_network(network)
-            network = reduction.network
         with self.timer.stage("compile_app"):
-            entry = AppEntry(name=name, compiled=subset_core(network),
-                             reduction=reduction)
+            entry = AppEntry(name=name, compiled=subset_core(network))
         if self.backend in ("dfa", "auto") and dfa_feasible(network):
             with self.timer.stage("compile_dfa"):
                 entry.dfa = compile_dfa(network, core=entry.compiled)
@@ -227,26 +205,19 @@ class ServeState:
         from ..experiments.sweep import DEFAULT_PROFILE_FRACTION
 
         run = get_run(canonical, self.config)
-        reduction = run.reduced if self.reduce else None
         with self.timer.stage("compile_app"):
-            compiled = (run.reduced_prepared_for("bitpacked") if self.reduce
-                        else run.compiled)
-        entry = AppEntry(name=canonical, compiled=compiled,
-                         reduction=reduction)
+            entry = AppEntry(name=canonical, compiled=run.compiled)
         if self.backend != "bitpacked":
             name, _engine = run.select_backend(
                 self.backend, DEFAULT_PROFILE_FRACTION, allow_fallback=True,
-                reduce=self.reduce,
             )
             if name == "dfa":
                 with self.timer.stage("compile_dfa"):
-                    entry.dfa = (run.reduced_prepared_for("dfa")
-                                 if self.reduce else run.compiled_dfa)
+                    entry.dfa = run.compiled_dfa
                 entry.backend = "dfa"
             elif name == "lazydfa":
                 with self.timer.stage("compile_lazydfa"):
-                    entry.lazydfa = (run.reduced_prepared_for("lazydfa")
-                                     if self.reduce else run.compiled_lazydfa)
+                    entry.lazydfa = run.compiled_lazydfa
                 entry.backend = "lazydfa"
         return entry
 

@@ -82,10 +82,10 @@ def collect_run_stats(
     cost = run.cost_outcome(fraction).cost
     parent = cost.network
 
-    # Equivalence-preserving reduction (repro.reduce, schema v5).  The
-    # exact-mode transform is cheap and static (partition refinement plus
-    # strip proofs already cached on the run); the soundness differential
-    # stays in the reduce-smoke CI gate and the CLI's --check.
+    # Equivalence-preserving reduction (repro.reduce).  The transform is
+    # cheap and static (partition refinement plus strip proofs already
+    # cached on the run); the soundness differential stays in the
+    # reduce-smoke CI gate and the CLI's --check.
     reduction = run.reduced
     batches_after = 0
     if reduction.network.automata:
@@ -156,14 +156,11 @@ def collect_run_stats(
             )
             for advisory in cost.advisories
         ],
-        reduce_mode=reduction.mode,
         reduce_states_before=reduction.parent_n_states,
         reduce_states_after=reduction.n_states,
         reduce_saving=reduction.saving_fraction,
         reduce_dead_stripped=reduction.n_dead_stripped,
-        reduce_never_stripped=reduction.n_never_stripped,
         reduce_backward_merged=reduction.n_backward_merged,
-        reduce_forward_merged=reduction.n_forward_merged,
         reduce_batches_before=baseline.n_batches,
         reduce_batches_after=batches_after,
         stages=run.stats.spans(),

@@ -125,15 +125,12 @@ class RunStats:
     cost_class_compression_ratio: float = 1.0
     cost_dfa_safe_fraction: float = 0.0
     cost_partitions: List[PartitionCostStats] = field(default_factory=list)
-    # equivalence-preserving reduction (repro.reduce, schema v5)
-    reduce_mode: str = "exact"
+    # equivalence-preserving reduction (repro.reduce)
     reduce_states_before: int = 0
     reduce_states_after: int = 0
     reduce_saving: float = 0.0
     reduce_dead_stripped: int = 0
-    reduce_never_stripped: int = 0
     reduce_backward_merged: int = 0
-    reduce_forward_merged: int = 0
     reduce_batches_before: int = 0
     reduce_batches_after: int = 0
     # pipeline stage timings
@@ -209,15 +206,12 @@ class RunStats:
                 "partitions": [p.to_json() for p in self.cost_partitions],
             },
             "reduce": {
-                "mode": self.reduce_mode,
                 "states_before": self.reduce_states_before,
                 "states_after": self.reduce_states_after,
                 "saving": self.reduce_saving,
                 "merges": {
                     "dead_stripped": self.reduce_dead_stripped,
-                    "never_reporting_stripped": self.reduce_never_stripped,
                     "backward_merged": self.reduce_backward_merged,
-                    "forward_merged": self.reduce_forward_merged,
                 },
                 "baseline_batches_before": self.reduce_batches_before,
                 "baseline_batches_after": self.reduce_batches_after,
@@ -282,11 +276,9 @@ def render_stats(stats: RunStats) -> str:
         lines.append(
             f"  reduce      : {stats.reduce_states_before} -> "
             f"{stats.reduce_states_after} states "
-            f"({100 * stats.reduce_saving:.1f}% saved, {stats.reduce_mode}); "
+            f"({100 * stats.reduce_saving:.1f}% saved); "
             f"{stats.reduce_dead_stripped} dead, "
-            f"{stats.reduce_never_stripped} never-reporting, "
-            f"{stats.reduce_backward_merged} backward, "
-            f"{stats.reduce_forward_merged} forward; "
+            f"{stats.reduce_backward_merged} backward; "
             f"batches {stats.reduce_batches_before} -> {stats.reduce_batches_after}"
         )
     if stats.stages:

@@ -38,7 +38,10 @@ __all__ = [
 #: v5: added the ``reduce`` section (states before/after the SPAP-R
 #: equivalence-preserving reduction, merges by rule, STE saving, and the
 #: downstream effect on baseline batches — ``repro.reduce``).
-SCHEMA_VERSION = 5
+#: v6: the ``reduce`` section lost ``mode`` and the merge counts of the two
+#: reports-only rules: the reducer has one exact semantics, and ``merges``
+#: counts its two rules (dead strip and backward merge).
+SCHEMA_VERSION = 6
 
 #: Bump on any backwards-incompatible change to the match server's exported
 #: statistics document (``repro.serve``).
@@ -135,15 +138,12 @@ STATS_SCHEMA = {
         ),
     },
     "reduce": {
-        "mode": "str",
         "states_before": "int",
         "states_after": "int",
         "saving": "number",
         "merges": {
             "dead_stripped": "int",
-            "never_reporting_stripped": "int",
             "backward_merged": "int",
-            "forward_merged": "int",
         },
         "baseline_batches_before": "int",
         "baseline_batches_after": "int",
@@ -275,7 +275,7 @@ def validate_stats(document: dict) -> None:
         raise SchemaError(f"stats document must be an object, got {type(document).__name__}")
     version = document.get("schema_version")
     # `type(...) is int` rejects bools (an int subclass) and floats such as
-    # 5.0 that compare equal to the version.
+    # 6.0 that compare equal to the version.
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported stats schema_version {version!r} "

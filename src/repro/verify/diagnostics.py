@@ -16,7 +16,6 @@ enforces; DESIGN.md appendix B is generated from the same data.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -379,10 +378,10 @@ RULES: Dict[str, Rule] = _rules(
         "reduction changed reports or lifted witness masks vs reference replay",
         Severity.ERROR,
         "§III-A",
-        "reduce_network claims report equivalence (and, in exact mode, "
-        "witness equivalence); a divergence against sim/reference.py on the "
-        "reduced network means a merge or strip rule is unsound — file a "
-        "bug against repro.reduce.transform",
+        "reduce_network claims report and witness equivalence; a "
+        "divergence against sim/reference.py on the reduced network means "
+        "a merge or strip rule is unsound — file a bug against "
+        "repro.reduce.transform",
     ),
     Rule(
         "SPAP-R002",
@@ -408,19 +407,8 @@ RULES: Dict[str, Rule] = _rules(
         "no reduction opportunities found",
         Severity.INFO,
         "§III-A",
-        "informational: the network is already minimal under the enabled "
-        "rule families — every state is live and no two states are "
-        "bisimilar at this mode",
-    ),
-    Rule(
-        "SPAP-R005",
-        "reports-only reductions withheld in exact mode",
-        Severity.INFO,
-        "§III-A",
-        "informational: aggressive mode (never-reporting strips + forward "
-        "merges) would shrink the network further at the price of lossy "
-        "witness masks; rerun with --aggressive if only the report stream "
-        "matters",
+        "informational: the network is already minimal — every state is "
+        "live and no two states are backward-bisimilar",
     ),
 )
 
@@ -535,9 +523,6 @@ class VerificationReport:
             "n_warnings": len(self.warnings),
             "diagnostics": [d.to_json() for d in self.diagnostics],
         }
-
-    def render_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent)
 
     # -- enforcement ----------------------------------------------------------
 

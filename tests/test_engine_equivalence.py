@@ -162,12 +162,11 @@ class TestNfaEngineMatchesReference:
 
 
 class TestReducedNetworkEquivalence:
-    """The ``--reduce`` execution path: every engine run on the
-    SPAP-R-reduced network, lifted through the state-mapping table, must
-    match the reference run on the *parent* network — reports in both
-    modes, witness masks additionally in exact mode.  This closes the
-    loop the per-engine arms above leave open: reduction composes with
-    every datapath, not just the reference simulator.
+    """Every engine run on the SPAP-R-reduced network, lifted through the
+    state-mapping table, must match the reference run on the *parent*
+    network — reports and witness masks.  This closes the loop the
+    per-engine arms above leave open: reduction composes with every
+    datapath, not just the reference simulator.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -177,7 +176,7 @@ class TestReducedNetworkEquivalence:
         network = random_network(rng)
         data = random_input(rng, length)
         truth = reference_run(network, data)
-        reduction = reduce_network(network, mode="exact")
+        reduction = reduce_network(network)
         n = network.n_states
         truth_mask = bitops.to_bool(truth.ever_enabled, n)
         for name, engine in ENGINES.items():
@@ -189,20 +188,6 @@ class TestReducedNetworkEquivalence:
             assert np.array_equal(
                 bitops.to_bool(lifted.ever_enabled, n), truth_mask
             ), name
-
-    @settings(max_examples=30, deadline=None)
-    @given(seeds, input_lengths)
-    def test_aggressive_reduction_preserves_reports(self, seed, length):
-        rng = random.Random(seed)
-        network = random_network(rng)
-        data = random_input(rng, length)
-        expected = reference_run(network, data).reports
-        reduction = reduce_network(network, mode="aggressive")
-        for name, engine in ENGINES.items():
-            if not engine.feasible(reduction.network):
-                continue
-            got = engine.run_network(reduction.network, data)
-            assert reports_equal(reduction.lift_reports(got.reports), expected), name
 
 
 class TestDegenerateInputs:

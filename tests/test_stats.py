@@ -121,9 +121,9 @@ class TestSchema:
         with pytest.raises(SchemaError, match="refills"):
             validate_stats(document)
 
-    def test_v5_document_carries_cost_section(self, bro_stats):
+    def test_document_carries_cost_section(self, bro_stats):
         document = bro_stats.to_json()
-        assert document["schema_version"] == 5
+        assert document["schema_version"] == 6
         cost = document["cost"]
         assert cost["budget"] > 0 and cost["n_classes"] >= 1
         assert cost["table_bytes_dense"] >= cost["table_bytes_classed"] > 0
@@ -137,10 +137,10 @@ class TestSchema:
             assert partition["recommended"]
             assert (partition["dfa_states"] is None) == (not partition["dfa_safe"])
 
-    def test_v5_document_carries_reduce_section(self, bro_stats):
+    def test_document_carries_reduce_section(self, bro_stats):
         document = bro_stats.to_json()
         reduce = document["reduce"]
-        assert reduce["mode"] == "exact"
+        assert set(reduce["merges"]) == {"dead_stripped", "backward_merged"}
         assert reduce["states_before"] == document["workload"]["n_states"]
         assert 0 <= reduce["states_after"] <= reduce["states_before"]
         assert 0.0 <= reduce["saving"] <= 1.0
@@ -148,7 +148,7 @@ class TestSchema:
         assert merged == reduce["states_before"] - reduce["states_after"]
         assert reduce["baseline_batches_before"] >= reduce["baseline_batches_after"]
 
-    def test_v5_document_missing_cost_rejected(self, bro_stats):
+    def test_document_missing_cost_rejected(self, bro_stats):
         document = bro_stats.to_json()
         del document["cost"]
         with pytest.raises(SchemaError, match="cost"):
@@ -160,13 +160,13 @@ class TestSchema:
         assert validate_stats_json(document) == 1
 
     @pytest.mark.parametrize("version", [
-        99, 0, -3, "4", 4.0, 5.0, None, True, False,
-        *(pytest.param(old, id=f"retired-v{old}") for old in (2, 3, 4)),
+        99, 0, -3, "4", 4.0, 5.0, 6.0, None, True, False,
+        *(pytest.param(old, id=f"retired-v{old}") for old in (2, 3, 4, 5)),
     ])
     def test_unknown_version_is_a_typed_error_naming_the_supported_set(
         self, bro_stats, version
     ):
-        """Any version but the current one — the retired 2, 3 and 4, and
+        """Any version but the current one — the retired 2 to 5, and
         non-integers such as ``True``, an ``int`` subclass — must raise
         :class:`SchemaError` naming the supported version, never
         ``KeyError`` and never a wall of field errors."""
@@ -176,12 +176,12 @@ class TestSchema:
             validate_stats(document)
         message = str(excinfo.value)
         assert "unsupported stats schema_version" in message
-        assert "(supported: 5)" in message
+        assert "(supported: 6)" in message
 
     def test_missing_version_is_a_typed_error(self, bro_stats):
         document = bro_stats.to_json()
         del document["schema_version"]
-        with pytest.raises(SchemaError, match=r"\(supported: 5\)"):
+        with pytest.raises(SchemaError, match=r"\(supported: 6\)"):
             validate_stats(document)
 
 
@@ -275,7 +275,6 @@ class TestSweepStats:
         for row in rows:
             assert 0 <= row.n_states_reduced <= row.n_states
             assert 0.0 <= row.reduce_saving <= 1.0
-            assert row.reduced is False  # no backend executed
         table = render_sweep(rows)
         assert "Reduce" in table
 
@@ -286,17 +285,6 @@ class TestSweepStats:
             (rows[0].reduce_saving + rows[1].reduce_saving) / 2
         )
         assert 0.0 < summary["geomean_reduce_state_ratio"] <= 1.0
-
-    def test_reduced_backend_execution_matches_unreduced(self, small_config):
-        plain = run_sweep(["LV"], small_config, jobs=1,
-                          backend="bitpacked")[0]
-        reduced = run_sweep(["LV"], small_config, jobs=1,
-                            backend="bitpacked", reduce=True)[0]
-        assert reduced.reduced is True and plain.reduced is False
-        assert reduced.backend == plain.backend == "bitpacked"
-        assert reduced.backend_mb_s > 0
-        table = render_sweep([reduced])
-        assert "%+" in table  # the '+' marker for reduced execution
 
 
 class TestStatsCli:
