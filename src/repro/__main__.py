@@ -32,7 +32,8 @@ Commands:
   against the unreduced ground truth (SPAP-R001).
 * ``serve --apps A,B [--port N|--unix PATH]`` — the long-running match
   service (``repro.serve``): framed requests in, micro-batched
-  dispatches out.
+  dispatches out, by default on the lazy table (``--backend lazydfa``)
+  and one executor thread (``--workers 1``).
 * ``loadgen --apps A,B [--port N|--unix PATH]`` — drive a running server
   in open or closed loop, optionally sweeping concurrency, and report
   throughput plus p50/p95/p99 latency; ``--duration`` with ``--rate``
@@ -703,16 +704,16 @@ def main(argv: Optional[list] = None) -> int:
                               help="largest batch per dispatch (default 64)")
     serve_parser.add_argument("--max-queue-depth", type=int, default=1024,
                               help="admission-control queue bound (default 1024)")
-    serve_parser.add_argument("--workers", type=int, default=2,
-                              help="engine executor threads (default 2)")
+    serve_parser.add_argument("--workers", type=int, default=1,
+                              help="engine executor threads (default 1)")
     serve_parser.add_argument("--max-apps", type=int, default=8,
                               help="compiled networks kept resident (LRU)")
-    serve_parser.add_argument("--backend", default="bitpacked",
+    serve_parser.add_argument("--backend", default="lazydfa",
                               choices=["bitpacked", "dfa", "lazydfa", "auto"],
-                              help="batch engine: bitpacked (default), "
-                                   "dfa (where feasible), lazydfa (the "
-                                   "bounded-subset hybrid), or auto "
-                                   "(per-app cost advisory)")
+                              help="batch engine: lazydfa (default, the "
+                                   "byte-bounded lazy table), bitpacked "
+                                   "(the NFA walk), dfa (where feasible), "
+                                   "or auto (per-app cost advisory)")
     serve_parser.add_argument("--no-warmup", action="store_true",
                               help="skip compiling --apps before binding")
     serve_parser.add_argument("--no-remote-shutdown", action="store_true",

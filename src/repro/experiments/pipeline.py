@@ -184,11 +184,11 @@ class AppRun:
 
     @property
     def compiled_lazydfa(self) -> CompiledLazyDfa:
-        """The lazy-DFA hybrid artifact (DESIGN.md §14).
+        """The lazy-DFA artifact (DESIGN.md §14).
 
         Always feasible (no subset-construction proof required); its
-        subset cache fills during execution and persists on this run, so
-        repeated inputs execute mostly at table speed.
+        byte-bounded table fills during execution and persists on this
+        run, so repeated inputs execute mostly at table speed.
         """
         if self._lazydfa is None:
             with self._lock:

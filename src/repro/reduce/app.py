@@ -339,7 +339,9 @@ def analyze_run_reduce(
         before = advise_network(parent, budget=budget, horizon=horizon, model=model)
         after: Optional[BackendAdvisory] = None
         if reduction.network.n_states > 0:
-            after = advise_network(
+            # Nothing reduced: the reduced network is the parent's own, so
+            # exploring it again would repeat the parent's walk.
+            after = before if reduction.saved_states == 0 else advise_network(
                 reduction.network,
                 partition="reduced",
                 budget=budget,

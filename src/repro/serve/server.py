@@ -54,13 +54,16 @@ class ServerOptions:
     unix_path: Optional[str] = None
     max_batch: int = 64
     max_queue_depth: int = 1024
-    workers: int = 2
+    #: Executor threads.  One core runs the engines either way (the GIL),
+    #: and a second thread measured slower on a fast engine.
+    workers: int = 1
     max_apps: int = 8
     warmup: bool = True
     allow_shutdown: bool = True
-    #: Batch engine: "bitpacked" (default), "dfa"/"lazydfa" (forced where
-    #: feasible), or "auto" (per-app cost advisory) — DESIGN.md §13.
-    backend: str = "bitpacked"
+    #: Batch engine: "lazydfa" (default, the byte-bounded lazy table),
+    #: "bitpacked" (the NFA walk), "dfa" (forced where feasible), or
+    #: "auto" (per-app cost advisory) — DESIGN.md §13-§14.
+    backend: str = "lazydfa"
 
     def policy(self) -> BatchPolicy:
         return BatchPolicy(max_batch=self.max_batch,

@@ -52,11 +52,11 @@ class AppEntry:
     """One resident application: its compiled artifacts and request counter.
 
     ``backend`` names the engine batches execute on (DESIGN.md §13):
-    ``bitpacked`` (the default NFA engine on the subset core), ``dfa``
-    (the table-driven executor, when the network was proven DFA-safe and
-    the server opted in), or ``lazydfa`` (the bounded-subset hybrid,
-    DESIGN.md §14 — no proof required).  The batcher dispatches through
-    :meth:`execute_batch` so it never hard-codes an engine.
+    ``bitpacked`` (the NFA engine on the subset core), ``dfa`` (the eager
+    table, when the network was proven DFA-safe), or ``lazydfa`` (the
+    byte-bounded lazy table, DESIGN.md §14, no proof required).  The
+    batcher dispatches through :meth:`execute_batch` so it never
+    hard-codes an engine.
     """
 
     name: str
@@ -79,8 +79,8 @@ class AppEntry:
         """Run one coalesced batch on this entry's backend (executor-side).
 
         A batch is a series of independent walks, one per stream, through
-        the registered engine.  The lazy hybrid serializes itself on the
-        artifact's internal lock, so concurrent executor workers are safe.
+        the registered engine.  The lazy table serializes its runs on the
+        artifact's lock, so concurrent executor workers are safe.
         """
         run = get_engine(self.backend).run
         prepared = self.prepared
@@ -92,12 +92,12 @@ class ServeState:
 
     def __init__(self, config: Optional[ExperimentConfig] = None, *,
                  apps: Optional[List[str]] = None, max_apps: int = 8,
-                 backend: str = "bitpacked",
+                 backend: str = "lazydfa",
                  timer: Optional[StageTimer] = None) -> None:
         # "multistream", the name of the former lock-step engine, is still
         # accepted as a synonym for the default.
         if backend == "multistream":
-            backend = "bitpacked"
+            backend = "lazydfa"
         if backend not in _SERVE_BACKENDS:
             raise ValueError(
                 f"serve backend must be one of {', '.join(_SERVE_BACKENDS)}; "
@@ -146,9 +146,9 @@ class ServeState:
 
         Injected networks have no registry pipeline (hence no cost
         advisory), so a non-bitpacked server backend selects on
-        feasibility alone: ``dfa``/``auto`` take the table engine when the
+        feasibility alone: ``dfa``/``auto`` take the eager table when the
         network is proven safe, ``lazydfa`` (or ``auto`` on an unsafe
-        network) takes the hybrid.
+        network) takes the lazy table.
         """
         with self.timer.stage("compile_app"):
             entry = AppEntry(name=name, compiled=subset_core(network))
@@ -193,13 +193,14 @@ class ServeState:
         """Blocking compile through the pipeline cache (executor-side).
 
         With a non-bitpacked server backend the entry's engine is
-        resolved through the pipeline's advisory-driven selection
+        resolved through the pipeline's selection
         (``AppRun.select_backend``): ``auto`` takes the cost advisory's
         recommendation, an explicit ``dfa``/``lazydfa`` forces that engine
-        — both feasibility-checked.  Serving's documented contract is
-        availability over strictness, so selection runs with
-        ``allow_fallback=True``: an infeasible forced engine lands back on
-        bitpacked, serving's default, instead of failing the request.
+        — both feasibility-checked.  An explicit engine runs no advisory,
+        so the default ``lazydfa`` adds no start-up analysis.  Serving's
+        documented contract is availability over strictness, so selection
+        runs with ``allow_fallback=True``: an infeasible forced engine
+        lands back on bitpacked instead of failing the request.
         """
         from ..experiments.pipeline import get_run
         from ..experiments.sweep import DEFAULT_PROFILE_FRACTION

@@ -4,7 +4,7 @@ Besides the individual engine entry points, this package defines the
 pluggable :class:`Engine` interface (DESIGN.md §13): every execution
 backend — the set-based reference engine, the bit-parallel NFA engine on
 the network's subset core, the table-driven DFA engine, and the
-bounded-subset lazy-DFA hybrid — registered in :data:`ENGINES` under the
+byte-bounded lazy DFA — registered in :data:`ENGINES` under the
 same canonical names the cost
 model's advisories use (``repro.cost.model.BACKENDS``; the registries are
 pinned to each other by a test rather than an import, keeping this package
@@ -30,13 +30,7 @@ from .dfa import (
 )
 from .engine import EventRunResult, as_input_array, run, run_events
 from .hybrid import HybridResult, hybrid_run
-from .lazydfa import (
-    DEFAULT_CHURN_FACTOR,
-    DEFAULT_LAZY_CAPACITY,
-    CompiledLazyDfa,
-    compile_lazydfa,
-    lazydfa_run,
-)
+from .lazydfa import DEFAULT_LAZY_BUDGET, CompiledLazyDfa, compile_lazydfa, lazydfa_run
 from .reference import reference_run
 from .reports import DecodedReport, decode_reports, reports_by_code
 from .result import Report, SimResult, reports_equal, reports_to_array
@@ -58,8 +52,7 @@ __all__ = [
     "dfa_run",
     "dfa_table_dtype",
     "CompiledLazyDfa",
-    "DEFAULT_CHURN_FACTOR",
-    "DEFAULT_LAZY_CAPACITY",
+    "DEFAULT_LAZY_BUDGET",
     "compile_lazydfa",
     "lazydfa_run",
     "DecodedReport",
@@ -170,8 +163,8 @@ ENGINES: Dict[str, Engine] = {
         feasible=dfa_feasible,
         streaming_only=True,
     ),
-    # The lazy hybrid needs no feasibility proof: its subset cache is
-    # LRU-bounded no matter how large the reachable subset space is.
+    # The lazy DFA needs no feasibility proof: its table is bounded in
+    # bytes no matter how large the reachable subset space is.
     "lazydfa": Engine(
         "lazydfa",
         prepare=compile_lazydfa,

@@ -25,6 +25,9 @@ Two entry points share the one loop, :func:`_walk`:
   and enable-stall accounting (SpAP mode, also reused by the AP–CPU
   handler).
 
+The lazy DFA finishes a run on the same loop, from the subset it had
+reached (:mod:`repro.sim.lazydfa`).
+
 A stream is an event run with no events: when a start-of-data network
 goes quiet, :func:`run` jumps over the idle tail as well.
 """
@@ -81,20 +84,24 @@ def _packed(mask: int, n_states: int) -> np.ndarray:
 
 def _walk(
     core: SubsetCore,
-    symbols: np.ndarray,
+    classes: List[int],
     positions: Sequence[int],
     targets: Sequence[int],
     *,
     track: bool,
     count_stalls: bool,
+    enabled: Optional[int] = None,
+    first: int = 0,
 ) -> Tuple[List[Report], int, int, int, int]:
-    """Step ``core`` over ``symbols`` with enable events (Algorithm 1).
+    """Step ``core`` over the symbol ``classes`` with enable events
+    (Algorithm 1).
 
-    ``positions``/``targets`` are the events, sorted by position.  Returns
-    ``(reports, ever, consumed, stalls, jumps)``: ``ever`` ORs the enabled
-    set of every consumed cycle when ``track`` is set.
+    ``positions``/``targets`` are the events, sorted by position.  The walk
+    starts at position ``first`` from the ``enabled`` set (default: the
+    start states).  Returns ``(reports, ever, consumed, stalls, jumps)``:
+    ``ever`` ORs the enabled set of every consumed cycle when ``track`` is
+    set.
     """
-    classes: List[int] = core.class_of[symbols].tolist()
     n = len(classes)
     steps_of, mid_of, full_of = core.walk_masks
     start_steps = core.start_steps
@@ -103,11 +110,13 @@ def _walk(
     last = n - 1
     n_events = len(positions)
 
-    enabled = core.initial_mask
+    if enabled is None:
+        enabled = core.initial_mask
     ever = 0
     reports: List[Report] = []
     append = reports.append
-    i = j = consumed = stalls = jumps = 0
+    i = first
+    j = consumed = stalls = jumps = 0
     while i < n:
         if not enabled:
             # Jump operation: skip to where the next event enables a state.
@@ -166,7 +175,8 @@ def run(
     """
     symbols = as_input_array(input_data)
     reports, ever, _consumed, _stalls, _jumps = _walk(
-        core, symbols, (), (), track=track_enabled, count_stalls=False
+        core, core.class_of[symbols].tolist(), (), (),
+        track=track_enabled, count_stalls=False,
     )
     return SimResult(
         n_states=core.n_states,
@@ -246,7 +256,7 @@ def run_events(
                 f"got {int(targets.min())}..{int(targets.max())}"
             )
     reports, ever, consumed, stalls, jumps = _walk(
-        core, symbols, positions.tolist(), targets.tolist(),
+        core, core.class_of[symbols].tolist(), positions.tolist(), targets.tolist(),
         track=track_enabled, count_stalls=count_stalls,
     )
     return EventRunResult(

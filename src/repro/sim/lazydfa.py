@@ -1,68 +1,57 @@
-"""Bounded-subset lazy-DFA hybrid: memoized subset states with NFA fallback.
+"""Lazy DFA: a subset table filled on demand and bounded in bytes.
 
-The table-driven backend (:mod:`repro.sim.dfa`) only serves partitions the
-budgeted explorer proves DFA-safe; the blowup cases (LV, ER, SPM, Fermi,
-Brill at bench scale) are exactly where the paper's large-scale workloads
-live.  But for many such patterns the *visited* subset space per input is
-tiny even when the *reachable* space explodes (the DFA-vs-NFA tradeoff
-literature in PAPERS.md), so this module executes the subset construction
-*lazily*: an LRU-capped cache maps each subset actually reached during
-execution to a per-symbol-class row of ``(successor, report tuples)``
-cells, materialized on first use by the same
-:class:`~repro.nfa.determinize.SubsetCore` step ``determinize`` walks —
-one cache entry per (subset, class) pair ever exercised, never the full
-reachable table.
+The eager table backend (:mod:`repro.sim.dfa`) serves only networks the
+budgeted explorer proves DFA-safe, and it builds every cell.  An input
+visits few of them: a warm table on ``serve-lockstep``'s payloads holds
+1.4% of its row x class cells, the subset-level face of the sparse
+activity this paper exploits (and of the DFA-vs-NFA tradeoff literature in
+PAPERS.md).  This module runs subset construction lazily over the
+network's :class:`~repro.nfa.determinize.SubsetCore` and keeps only the
+cells a walk has built (DESIGN.md §14):
 
-Execution (DESIGN.md §14):
+* **Layout.**  A row is a subset the walk reached, numbered in order; its
+  base is its number times ``n_classes``, so ``base + class`` keys its
+  cell.  ``_cells`` maps that key to the successor's base, or, for a cell
+  that fires reports, to ``~k``: entry ``k`` of ``_reports`` holds the
+  successor's base and the mid-stream and end-of-data report tuples.  A
+  silent hit costs one dict lookup and one compare.
+* **Miss.**  An unbuilt cell is filled by one step of the subset core, the
+  step every engine shares.
+* **Budget.**  The table counts the bytes it holds.  When a new cell would
+  pass ``budget`` the table is flushed whole, keeping only its start row
+  (row 0, where every run begins), and restarts from the current subset
+  (RE2's lazy-DFA policy: Cox, "Regular Expression Matching in the Wild").
+  A run that fills the table more than ``MAX_RUN_FLUSHES`` times, or whose
+  next step does not fit even a flushed table, finishes on the NFA walk of
+  :mod:`repro.sim.engine` from the subset it has reached; the count resets
+  per run.
 
-* **Hit** — the current subset's cell for the input's symbol class exists
-  and its successor link points at a live cached row: emit the
-  pre-computed report tuple and follow the link.  Per-symbol work is a
-  list index, a tuple unpack, and an attribute check — DFA speed.
-* **Miss** — the cell is empty: perform a single bit-parallel NFA step
-  (big-int AND with the class accept mask, OR of successor masks, plus
-  the ``always`` re-enable — semantically identical to one
-  :func:`repro.sim.engine.run` cycle), memoize the resulting cell, and
-  re-enter the cache at the successor subset.
-* **Eviction** — rows beyond ``capacity`` are dropped LRU-first; evicted
-  rows are tombstoned (``live = False``) so stale successor links repair
-  themselves through a cache lookup on next use.
-* **Churn burst** — when one input evicts more than
-  ``capacity * churn_factor`` rows, the cache is clearly thrashing for
-  this input: new-row insertion stops for the remainder of the run and
-  uncached subsets execute as pure fallback steps (the cache still serves
-  hits, and execution re-enters it whenever a step lands on a cached
-  subset).
+Subsets are Python big-ints (bit ``g`` = global state ``g``), so a
+``track_enabled`` run ORs the subsets of the rows it visited.  Reports and
+hot sets are bit-identical to the reference engine, gated by the
+cross-engine suite with byte budgets small enough to force flushes and the
+NFA finish.
 
-Subset keys are Python big-ints (bit ``g`` = global state ``g``), the same
-encoding the budgeted explorer uses, so ``track_enabled`` recovery is an
-OR over the visited subset keys — each cached row *is* its own
-subset-construction witness.  Results are bit-identical to the reference
-engine (reports and ever-enabled), gated by the cross-engine equivalence
-suite including adversarial capacity-1/2 runs that force every fallback
-path.
-
-A compiled artifact is safe to share across threads: :func:`lazydfa_run`
-holds the artifact's lock for the duration of a run (the cache is shared
-mutable state), serializing concurrent executor-side batches the way
-``repro.serve`` issues them.
+The table is shared mutable state: :func:`lazydfa_run` holds the
+artifact's lock for the whole run, and a pickled artifact carries no table.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..nfa.automaton import Network
 from ..nfa.determinize import SubsetCore, subset_core
-from .engine import as_input_array
+from .engine import _walk, as_input_array
 from .result import SimResult, reports_to_array
 
 __all__ = [
-    "DEFAULT_LAZY_CAPACITY",
-    "DEFAULT_CHURN_FACTOR",
+    "DEFAULT_LAZY_BUDGET",
+    "MAX_RUN_FLUSHES",
     "CompiledLazyDfa",
     "compile_lazydfa",
     "lazydfa_run",
@@ -70,160 +59,153 @@ __all__ = [
 
 InputLike = Union[bytes, bytearray, str, np.ndarray, Sequence[int]]
 
-#: Default LRU capacity (cached subset rows).  Sized so a worst-case row
-#: set (a few dozen classes x a few dozen bytes per cell) stays well under
-#: the DFA table budget while covering every per-input visited set seen in
-#: the 26-app registry with room to spare.
-DEFAULT_LAZY_CAPACITY = 2048
+#: Bytes one table may hold.  The census of DESIGN.md §14 (26 registry
+#: apps, scale 16, 8 KiB inputs) sets it.
+DEFAULT_LAZY_BUDGET = 4 << 20
 
-#: An input that evicts more than ``capacity * churn_factor`` rows is
-#: thrashing: stop inserting new rows for the rest of that input.
-DEFAULT_CHURN_FACTOR = 4.0
+#: A run that fills its table more often than this finishes on the NFA walk.
+MAX_RUN_FLUSHES = 4
 
-#: One memoized (subset, class) cell: successor subset key, mid-stream
-#: report tuple, end-of-data report tuple, and a direct link to the
-#: successor's cached row (``None`` when uncached; may be tombstoned).
-_Cell = Tuple[int, Tuple[int, ...], Tuple[int, ...], Optional["_Row"]]
+#: Heap bytes a row holds besides its subset (its slots in ``_rows`` and
+#: ``_subsets`` and its base), a cell (its ``_cells`` slot and key), and a
+#: reporting cell's entry (its code, its ``_reports`` slot, the entry and
+#: two empty report tuples) plus each report in those tuples.  Summed over
+#: the census tables of DESIGN.md §14 they come to 0.95-1.2 times the heap
+#: those tables hold.
+ROW_BYTES = 120
+CELL_BYTES = 64
+REPORT_BYTES = 184
+BYTES_PER_REPORT = 40
 
-
-class _Row:
-    """One cached subset state: its key and lazily-filled per-class cells.
-
-    ``live`` is the eviction tombstone — stale direct links from other
-    rows' cells check it and repair through the cache.  Evicted rows drop
-    their ``cells`` list so the only retained state is the subset key a
-    repair lookup needs.
-    """
-
-    __slots__ = ("mask", "cells", "live")
-
-    def __init__(self, mask: int, n_classes: int) -> None:
-        self.mask = mask
-        self.cells: Optional[List[Optional[_Cell]]] = [None] * n_classes
-        self.live = True
+#: One reporting cell: successor base, mid-stream and end-of-data reports.
+_Reports = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 
 class CompiledLazyDfa:
-    """Lazy-DFA execution artifact: the subset core plus the subset cache.
+    """A network's subset core and its lazily filled, byte-bounded table.
 
-    Holds the network's :class:`~repro.nfa.determinize.SubsetCore` (the
-    big-int accept, successor, start and report masks) and the LRU subset
-    cache that persists across runs, so repeated inputs
-    over the same artifact execute mostly at table speed.  Lifetime cache
-    counters are exposed via :meth:`cache_stats`; :meth:`clear_cache`
-    resets both the cache and those counters.
+    The table persists across runs, so repeated inputs walk built cells.
+    :meth:`cache_stats` reports the table and the lifetime counters.
     """
 
-    def __init__(
-        self,
-        core: SubsetCore,
-        *,
-        capacity: int = DEFAULT_LAZY_CAPACITY,
-        churn_factor: float = DEFAULT_CHURN_FACTOR,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"lazy-DFA capacity must be >= 1, got {capacity}")
-        if churn_factor <= 0:
+    def __init__(self, core: SubsetCore, *, budget: int = DEFAULT_LAZY_BUDGET) -> None:
+        start_bytes = _row_bytes(core.initial_mask)
+        if budget < start_bytes:
             raise ValueError(
-                f"lazy-DFA churn factor must be > 0, got {churn_factor}"
+                f"lazy-DFA budget of {budget} B cannot hold the start row "
+                f"({start_bytes} B)"
             )
         self.core = core
         self.n_states = core.n_states
         self.n_words = (max(core.n_states, 1) + 63) // 64
         self.n_classes = core.n_classes
         self.class_of_symbol = core.class_of
-        self.capacity = capacity
-        self.churn_factor = churn_factor
-        # OrderedDict semantics via plain dict: Python dicts preserve
-        # insertion order and re-insertion moves a key to the end, which is
-        # all the LRU discipline needs.
-        self._cache: Dict[int, _Row] = {}
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.cell_builds = 0
-        self.inserts = 0
-        self.evictions = 0
-        self.fallback_steps = 0
+        self.budget = budget
+        self._lock = threading.Lock()
+        self._rows: Dict[int, int] = {}  # subset -> row base
+        self._subsets: List[int] = []  # row number -> subset
+        self._cells: Dict[int, int] = {}  # base + class -> successor base or ~k
+        self._reports: List[_Reports] = []
+        self._bytes = 0
+        self._clear()
+        self.steps = self.cell_builds = self.flushes = self.nfa_finishes = 0
 
     def __getstate__(self) -> dict:
-        """Pickle support for the network store (``repro.grid.store``).
-
-        The subset cache is process-local by design: its rows hold direct
-        next-row object links (and the lock guarding them cannot cross a
-        process boundary), so a deserialized artifact starts from the
-        post-compile state — empty cache, zero lifetime counters — and
-        refills lazily during execution, exactly like a fresh
-        :func:`compile_lazydfa` output.
-        """
-        state = dict(self.__dict__)
-        state["_cache"] = {}
-        del state["_lock"]
-        for counter in ("hits", "cell_builds", "inserts", "evictions",
-                        "fallback_steps"):
-            state[counter] = 0
-        return state
+        """Pickle support for the network store (``repro.grid.store``): the
+        table and its lock are process-local, so an unpickled artifact
+        starts empty with zero counters, like a fresh
+        :func:`compile_lazydfa` output."""
+        return {"core": self.core, "budget": self.budget}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
+        self.__init__(state["core"], budget=state["budget"])  # type: ignore[misc]
 
     def cache_stats(self) -> Dict[str, int]:
-        """Lifetime cache counters plus current occupancy (for benches,
-        serve introspection, and the adversarial-cap tests)."""
+        """The table's size and the lifetime counters.  ``hits`` are table
+        steps that found a built cell: steps minus cell builds."""
         with self._lock:
             return {
-                "capacity": self.capacity,
-                "size": len(self._cache),
-                "hits": self.hits,
+                "budget": self.budget,
+                "bytes": self._bytes,
+                "rows": len(self._subsets),
+                "cells": len(self._cells),
+                "hits": self.steps - self.cell_builds,
                 "cell_builds": self.cell_builds,
-                "inserts": self.inserts,
-                "evictions": self.evictions,
-                "fallback_steps": self.fallback_steps,
+                "flushes": self.flushes,
+                "nfa_finishes": self.nfa_finishes,
             }
 
     def clear_cache(self) -> None:
-        """Drop every cached row (tombstoning them for link repair) and
-        zero the lifetime counters — a full reset to the post-compile
-        state, so :meth:`cache_stats` after a clear describes only work
-        done since the clear."""
+        """Empty the table down to its start row and zero the lifetime
+        counters: the post-compile state."""
         with self._lock:
-            for row in self._cache.values():
-                row.live = False
-                row.cells = None
-            self._cache.clear()
-            self.hits = 0
-            self.cell_builds = 0
-            self.inserts = 0
-            self.evictions = 0
-            self.fallback_steps = 0
+            self._clear()
+            self.steps = self.cell_builds = self.flushes = self.nfa_finishes = 0
 
-    def _step(self, mask: int, cls: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        """One subset-construction transition from ``mask`` on class ``cls``
-        through the shared :class:`~repro.nfa.determinize.SubsetCore`:
-        ``(successor, fired_mid, fired)``.  Semantically one
-        :func:`repro.sim.engine.run` cycle."""
+    def _clear(self) -> None:
+        """Empty the table down to its start row."""
+        self._rows.clear()
+        self._subsets.clear()
+        self._cells.clear()
+        self._reports.clear()
+        self._bytes = _row_bytes(self.core.initial_mask)
+        self._add_row(self.core.initial_mask)
+
+    def _build(self, subset: int, cls: int) -> bool:
+        """Build the cell of ``subset`` on ``cls``, with the rows it needs;
+        False, building nothing, when that would pass the budget."""
         core = self.core
-        activated = mask & core.accept_masks[cls]
+        activated = subset & core.accept_masks[cls]
+        stepping = activated & ~core.always_mask
+        nxt = core.start_steps[cls]
+        if stepping:
+            nxt |= core.step(stepping)
         fired, fired_mid = core.reports(activated)
-        return core.step(activated), fired_mid, fired
+        rows = self._rows
+        base = rows.get(subset)
+        nxt_base = rows.get(nxt)
+        cost = CELL_BYTES
+        if base is None:
+            cost += _row_bytes(subset)
+        if nxt_base is None and nxt != subset:
+            cost += _row_bytes(nxt)
+        if fired:
+            if fired_mid == fired:
+                fired_mid = fired  # one tuple serves every position
+            reported = len(fired) + (0 if fired_mid is fired else len(fired_mid))
+            cost += REPORT_BYTES + BYTES_PER_REPORT * reported
+        if self._bytes + cost > self.budget:
+            return False
+        self._bytes += cost
+        if base is None:
+            base = self._add_row(subset)
+        if nxt_base is None:
+            nxt_base = base if nxt == subset else self._add_row(nxt)
+        if fired:
+            self._cells[base + cls] = ~len(self._reports)
+            self._reports.append((nxt_base, fired_mid, fired))
+        else:
+            self._cells[base + cls] = nxt_base
+        self.cell_builds += 1
+        return True
+
+    def _add_row(self, subset: int) -> int:
+        base = self._rows[subset] = len(self._subsets) * self.n_classes
+        self._subsets.append(subset)
+        return base
 
 
-def compile_lazydfa(
-    network: Network,
-    *,
-    capacity: int = DEFAULT_LAZY_CAPACITY,
-    churn_factor: float = DEFAULT_CHURN_FACTOR,
-) -> CompiledLazyDfa:
-    """Build ``network``'s subset core; no subset construction runs here —
-    the cache fills during execution.
+def _row_bytes(subset: int) -> int:
+    return ROW_BYTES + sys.getsizeof(subset)
+
+
+def compile_lazydfa(network: Network, *, budget: int = DEFAULT_LAZY_BUDGET) -> CompiledLazyDfa:
+    """Build ``network``'s subset core; the table fills during execution.
 
     Unlike :func:`repro.sim.dfa.compile_dfa` there is no feasibility gate:
-    the cache is bounded by ``capacity`` regardless of how large the
-    reachable subset space is, which is the whole point of the hybrid.
+    the budget bounds the table however many subsets are reachable.
     """
-    return CompiledLazyDfa(
-        subset_core(network), capacity=capacity, churn_factor=churn_factor
-    )
+    return CompiledLazyDfa(subset_core(network), budget=budget)
 
 
 def lazydfa_run(
@@ -235,121 +217,91 @@ def lazydfa_run(
     """Consume ``input_data``; return a :class:`SimResult` bit-identical to
     the reference engine's.
 
-    Holds the artifact's lock for the whole run (the subset cache is
-    shared mutable state; serve executes batches executor-side).  With
-    ``track_enabled`` the loop records each visited subset key and ORs
-    them afterwards — the cached rows double as subset witnesses, mirroring
-    the eager backend's ``subset_masks`` recovery.
+    Holds the artifact's lock for the whole run.  A miss builds its cell
+    and walks on from the same position; a flush folds the visited rows'
+    subsets into the hot set before their rows go.
     """
     symbols = as_input_array(input_data)
     n = int(symbols.size)
-    classes: List[int] = (
-        compiled.class_of_symbol[symbols].tolist() if n else []
-    )
+    classes: List[int] = compiled.class_of_symbol[symbols].tolist() if n else []
     out: List[Tuple[int, int]] = []
     append = out.append
+    last = n - 1
+    position = state = flushes = ever = 0
     visited: Set[int] = set()
 
     with compiled._lock:
-        cache = compiled._cache
+        cells = compiled._cells
+        reports = compiled._reports
+        subsets = compiled._subsets
         n_classes = compiled.n_classes
-        capacity = compiled.capacity
-        churn_limit = compiled.capacity * compiled.churn_factor
-        caching = True
-        run_evictions = 0
-        hits = builds = inserts = evictions = fallback = 0
-
-        def lookup(mask: int) -> Optional[_Row]:
-            """Cache probe; inserts a fresh row unless churn disabled it."""
-            nonlocal hits, inserts, evictions, run_evictions, caching
-            found = cache.get(mask)
-            if found is not None:
-                del cache[mask]  # re-insertion refreshes LRU recency
-                cache[mask] = found
-                hits += 1
-                return found
-            if not caching:
-                return None
-            made = _Row(mask, n_classes)
-            cache[mask] = made
-            inserts += 1
-            if len(cache) > capacity:
-                old = cache.pop(next(iter(cache)))
-                old.live = False
-                old.cells = None
-                evictions += 1
-                run_evictions += 1
-                if run_evictions > churn_limit:
-                    caching = False
-            return made
-
-        cur = compiled.core.initial_mask
-        row = lookup(cur)
-        last = n - 1
-        for position in range(n):
+        while position < n:
             if track_enabled:
-                visited.add(cur)
-            cls = classes[position]
-            if row is not None:
-                cells = row.cells
-                assert cells is not None  # live rows always hold cells
-                cell = cells[cls]
-                if cell is None:
-                    nxt_mask, fired_mid, fired_full = compiled._step(
-                        row.mask, cls
-                    )
-                    builds += 1
-                    nxt_row = row if nxt_mask == cur else lookup(nxt_mask)
-                    cell = (nxt_mask, fired_mid, fired_full, nxt_row)
-                    cells[cls] = cell
+                for position in range(position, n):
+                    visited.add(state)
+                    try:
+                        nxt = cells[state + classes[position]]
+                    except KeyError:
+                        break
+                    if nxt < 0:
+                        nxt, mid, full = reports[~nxt]
+                        for gid in full if position == last else mid:
+                            append((position, gid))
+                    state = nxt
                 else:
-                    nxt_row = cell[3]
-                    if nxt_row is not None and not nxt_row.live:
-                        nxt_row = lookup(cell[0])
-                        cell = (cell[0], cell[1], cell[2], nxt_row)
-                        cells[cls] = cell
-                    elif nxt_row is None:
-                        nxt_row = lookup(cell[0])
-                        if nxt_row is not None:
-                            cell = (cell[0], cell[1], cell[2], nxt_row)
-                            cells[cls] = cell
-                fired = cell[2] if position == last else cell[1]
-                if fired:
-                    for gid in fired:
-                        append((position, gid))
-                cur = cell[0]
-                row = nxt_row
+                    position = n
+                    break
             else:
-                # Fallback step: the current subset is uncached (churn
-                # burst); execute one bit-parallel NFA step and try to
-                # re-enter the cache at the successor.
-                nxt_mask, fired_mid, fired_full = compiled._step(cur, cls)
-                fallback += 1
-                fired = fired_full if position == last else fired_mid
-                if fired:
-                    for gid in fired:
-                        append((position, gid))
-                cur = nxt_mask
-                row = lookup(cur)
+                for position in range(position, n):
+                    try:
+                        nxt = cells[state + classes[position]]
+                    except KeyError:
+                        break
+                    if nxt < 0:
+                        nxt, mid, full = reports[~nxt]
+                        for gid in full if position == last else mid:
+                            append((position, gid))
+                    state = nxt
+                else:
+                    position = n
+                    break
+            # A miss at ``position``: build its cell, flushing when full.
+            subset = subsets[state // n_classes]
+            cls = classes[position]
+            flushed = False
+            while not compiled._build(subset, cls):
+                if flushed or flushes == MAX_RUN_FLUSHES:
+                    break  # a flush cannot help, or may not happen again
+                flushes += 1
+                flushed = True
+                for base in visited:
+                    ever |= subsets[base // n_classes]
+                visited.clear()
+                compiled._clear()
+                compiled.flushes += 1
+            else:
+                state = compiled._rows[subset]
+                continue
+            # The table keeps filling up, or cannot hold this step: finish
+            # on the NFA walk.
+            tail, tail_ever, _consumed, _stalls, _jumps = _walk(
+                compiled.core, classes, (), (), track=track_enabled,
+                count_stalls=False, enabled=subset, first=position,
+            )
+            out.extend(tail)
+            ever |= tail_ever
+            compiled.nfa_finishes += 1
+            break
+        compiled.steps += position
+        for base in visited:
+            ever |= subsets[base // n_classes]
 
-        compiled.hits += hits
-        compiled.cell_builds += builds
-        compiled.inserts += inserts
-        compiled.evictions += evictions
-        compiled.fallback_steps += fallback
-
-    ever = np.zeros(compiled.n_words, dtype=np.uint64)
-    if visited:
-        ever_int = 0
-        for mask in visited:
-            ever_int |= mask
-        ever = np.frombuffer(
-            ever_int.to_bytes(compiled.n_words * 8, "little"), dtype=np.uint64
-        ).copy()
     return SimResult(
         n_states=compiled.n_states,
         n_symbols=n,
         cycles=n,
         reports=reports_to_array(out),
-        ever_enabled=ever,
+        ever_enabled=np.frombuffer(
+            ever.to_bytes(compiled.n_words * 8, "little"), dtype=np.uint64
+        ).copy(),
     )

@@ -1,38 +1,34 @@
-"""Bounded-subset lazy-DFA hybrid: cache discipline and fallback paths.
+"""Lazy DFA: the byte-bounded table and its flush policy.
 
 Cross-engine report/witness equivalence lives in
-``test_engine_equivalence.py`` (including the adversarial capacity-1/2
-arms); this file pins the *cache machinery* of :mod:`repro.sim.lazydfa`:
+``test_engine_equivalence.py`` (including tiny-budget arms); this file pins
+the *table discipline* of :mod:`repro.sim.lazydfa`:
 
-* construction-time validation of the capacity and churn knobs;
-* LRU eviction accounting under tiny caps, and the churn-burst guard that
-  stops inserting (but keeps answering) when one input thrashes;
-* cache persistence across runs on one artifact — the second identical
-  run must be nearly all hits and build no new cells;
-* ``clear_cache`` tombstoning, after which stale direct links must repair
-  themselves and results stay bit-identical;
+* budget validation: a budget must hold the table's start row;
+* the accounted bytes never pass the budget;
+* a full table is flushed whole and restarts at the current subset;
+* a run that keeps filling its table (more than ``MAX_RUN_FLUSHES``
+  flushes) stops building and finishes on the NFA walk, and the count
+  resets per run;
+* the table persists across runs: a second identical run builds no cell;
+* ``clear_cache`` returns the artifact to its post-compile state, and a
+  pickle round trip drops the table;
+* threads walking one artifact stay bit-identical;
 * the registered engine's metadata (no feasibility gate, streaming-only).
 """
 
+import concurrent.futures
+import pickle
 import random
+import sys
 
 import pytest
 
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.determinize import subset_core
 from repro.nfa.symbolset import SymbolSet
-from repro.sim import (
-    ENGINES,
-    compile_lazydfa,
-    lazydfa_run,
-    reference_run,
-    reports_equal,
-)
-from repro.sim.lazydfa import (
-    DEFAULT_CHURN_FACTOR,
-    DEFAULT_LAZY_CAPACITY,
-    CompiledLazyDfa,
-)
+from repro.sim import ENGINES, compile_lazydfa, lazydfa_run, reference_run, reports_equal
+from repro.sim.lazydfa import DEFAULT_LAZY_BUDGET, MAX_RUN_FLUSHES, CompiledLazyDfa
 
 from helpers import random_input, random_network
 
@@ -58,26 +54,49 @@ def blowup_network(tail: int = 13) -> Network:
     return network
 
 
+def _subset_walk(network, data):
+    """The subset before each symbol and after the last, stepped directly
+    on the core."""
+    core = subset_core(network)
+    subset = core.initial_mask
+    walk = [subset]
+    for cls in core.class_of[list(data)].tolist():
+        subset = core.step(subset & core.accept_masks[cls])
+        walk.append(subset)
+    return walk
+
+
+def _start_row_bytes(network):
+    return compile_lazydfa(network).cache_stats()["bytes"]
+
+
+def _assert_matches_reference(network, data, got):
+    expected = reference_run(network, data)
+    assert reports_equal(got.reports, expected.reports)
+    assert (got.ever_enabled == expected.ever_enabled).all()
+
+
+#: A blowup input: ``a`` at random positions keeps new subsets coming.
+_THRASH = random_input(random.Random(1), 400, b"ax")
+
+
 class TestConstructionValidation:
     def test_capacity_must_be_positive(self):
+        # The capacity is a byte budget, and it must hold the start row.
         network = _network()
-        with pytest.raises(ValueError, match="capacity"):
-            compile_lazydfa(network, capacity=0)
-        with pytest.raises(ValueError, match="capacity"):
-            compile_lazydfa(network, capacity=-5)
-
-    def test_churn_factor_must_be_positive(self):
-        network = _network()
-        with pytest.raises(ValueError, match="churn"):
-            compile_lazydfa(network, churn_factor=0.0)
+        start = _start_row_bytes(network)
+        for budget in (-5, 0, start - 1):
+            with pytest.raises(ValueError, match="budget"):
+                compile_lazydfa(network, budget=budget)
+        assert compile_lazydfa(network, budget=start).cache_stats()["bytes"] == start
 
     def test_defaults_recorded_on_artifact(self):
-        compiled = compile_lazydfa(_network())
-        assert compiled.capacity == DEFAULT_LAZY_CAPACITY
-        assert compiled.churn_factor == DEFAULT_CHURN_FACTOR
-        stats = compiled.cache_stats()
-        assert stats["size"] == 0
-        assert stats["hits"] == stats["inserts"] == stats["evictions"] == 0
+        stats = compile_lazydfa(_network()).cache_stats()
+        assert stats["budget"] == DEFAULT_LAZY_BUDGET
+        assert stats["rows"] == 1 and stats["cells"] == 0  # the start row
+        assert 0 < stats["bytes"] < DEFAULT_LAZY_BUDGET
+        assert stats["hits"] == stats["cell_builds"] == stats["flushes"] == 0
+        assert stats["nfa_finishes"] == 0
 
 
 class TestCacheDiscipline:
@@ -87,109 +106,174 @@ class TestCacheDiscipline:
         data = random_input(rng, 200)
         compiled = compile_lazydfa(network)
         first = lazydfa_run(compiled, data)
-        builds_after_first = compiled.cache_stats()["cell_builds"]
+        after_first = compiled.cache_stats()
+        # hits are table steps that found a built cell: steps minus builds.
+        assert after_first["hits"] + after_first["cell_builds"] == len(data)
         second = lazydfa_run(compiled, data)
         stats = compiled.cache_stats()
-        # A converged cache answers a repeated input without building a
-        # single new cell — that is the "table speed on hits" contract.
-        assert stats["cell_builds"] == builds_after_first
-        assert stats["fallback_steps"] == 0
+        # A repeated input walks built cells only: table speed, no builds.
+        assert stats["cell_builds"] == after_first["cell_builds"]
+        assert stats["hits"] == after_first["hits"] + len(data)
+        assert stats["flushes"] == stats["nfa_finishes"] == 0
         assert reports_equal(first.reports, second.reports)
 
     def test_capacity_bound_is_respected(self):
         rng = random.Random(5)
-        network = _network(5)
-        data = random_input(rng, 300)
-        for capacity in (1, 2, 7):
-            compiled = compile_lazydfa(network, capacity=capacity)
-            lazydfa_run(compiled, data)
-            stats = compiled.cache_stats()
-            assert stats["size"] <= capacity
-            assert stats["inserts"] - stats["evictions"] == stats["size"]
+        network = blowup_network()
+        inputs = [_THRASH] + [random_input(rng, 120, b"ax") for _ in range(6)]
+        for budget in (_start_row_bytes(network), 500, 2000, 6000, DEFAULT_LAZY_BUDGET):
+            compiled = compile_lazydfa(network, budget=budget)
+            for data in inputs:
+                lazydfa_run(compiled, data)
+                assert compiled.cache_stats()["bytes"] <= budget, budget
 
     def test_tiny_cap_evicts_and_stays_correct(self):
-        rng = random.Random(23)
+        # A table a few rows wide flushes (evicting every row) many times.
         network = blowup_network()
-        data = bytes(rng.randrange(256) for _ in range(400))
-        expected = reference_run(network, data)
-        compiled = compile_lazydfa(network, capacity=1)
-        got = lazydfa_run(compiled, data)
+        data = _THRASH[:120]
+        compiled = compile_lazydfa(network, budget=2000)
+        got = lazydfa_run(compiled, data, track_enabled=True)
+        assert compiled.cache_stats()["flushes"] > 0
+        _assert_matches_reference(network, data, got)
+
+    def test_flush_restarts_at_the_current_subset(self):
+        network = blowup_network()
+        data = _THRASH[:60]
+        walk = _subset_walk(network, data)
+        unbounded = compile_lazydfa(network)
+        lazydfa_run(unbounded, data)
+        # A budget a little under the whole table fills it exactly once.
+        compiled = compile_lazydfa(network, budget=unbounded.cache_stats()["bytes"] * 3 // 4)
+        got = lazydfa_run(compiled, data, track_enabled=True)
+        _assert_matches_reference(network, data, got)
         stats = compiled.cache_stats()
-        assert stats["evictions"] > 0
-        assert reports_equal(got.reports, expected.reports)
+        assert stats["flushes"] == 1 and stats["nfa_finishes"] == 0
+        # After the flush the table holds its start row, then the subsets
+        # from the flush on, in order, starting with the subset the walk
+        # had reached.
+        assert compiled._subsets[0] == walk[0]
+        restarts = [
+            p for p in range(1, len(walk))
+            if compiled._subsets[1:] == [s for s in dict.fromkeys(walk[p:]) if s != walk[0]]
+        ]
+        assert restarts, "the table did not restart at a subset of the walk"
 
     def test_churn_burst_stops_inserting_and_falls_back(self):
-        # The blowup pattern visits a fresh subset almost every position,
-        # so a capacity-1 cache evicts on nearly every insert; once one
-        # run's evictions exceed capacity * churn_factor the guard must
-        # stop inserting and carry the rest of the input on fallback
-        # steps — still bit-identical.
-        rng = random.Random(29)
+        # A run that fills its table more than MAX_RUN_FLUSHES times stops
+        # building cells and finishes on the NFA walk, bit-identically.
         network = blowup_network()
-        data = b"a" + bytes(rng.randrange(256) for _ in range(399))
-        expected = reference_run(network, data)
-        compiled = compile_lazydfa(network, capacity=1, churn_factor=2.0)
-        got = lazydfa_run(compiled, data, track_enabled=True)
+        compiled = compile_lazydfa(network, budget=3000)
+        got = lazydfa_run(compiled, _THRASH, track_enabled=True)
+        _assert_matches_reference(network, _THRASH, got)
         stats = compiled.cache_stats()
-        assert stats["evictions"] > 2  # the burst actually happened
-        assert stats["fallback_steps"] > 0  # ... and tripped the guard
-        assert reports_equal(got.reports, expected.reports)
-        assert (got.ever_enabled == expected.ever_enabled).all()
+        assert stats["flushes"] == MAX_RUN_FLUSHES
+        assert stats["nfa_finishes"] == 1
+        # The NFA walk carried the tail: the table stepped only a prefix.
+        assert stats["hits"] + stats["cell_builds"] < len(_THRASH)
 
     def test_churn_guard_resets_between_runs(self):
-        # The guard is per-input: a thrashing input must not poison the
-        # artifact for later well-behaved inputs.
+        # The flush count is per run: a thrashing run must not send later
+        # runs straight to the NFA walk.
         network = blowup_network()
-        compiled = compile_lazydfa(network, capacity=1, churn_factor=1.0)
-        thrash = b"a" + bytes(range(200))
-        lazydfa_run(compiled, thrash)
-        assert compiled.cache_stats()["fallback_steps"] > 0
-        before = compiled.cache_stats()["inserts"]
-        lazydfa_run(compiled, b"bbbb")  # tiny, cache-friendly input
-        assert compiled.cache_stats()["inserts"] > before
+        compiled = compile_lazydfa(network, budget=3000)
+        first = lazydfa_run(compiled, _THRASH)
+        second = lazydfa_run(compiled, _THRASH)
+        assert reports_equal(first.reports, second.reports)
+        stats = compiled.cache_stats()
+        # Had the count carried over, the second run would finish on the
+        # NFA walk at its first full table, without flushing.
+        assert stats["flushes"] == 2 * MAX_RUN_FLUSHES
+        assert stats["nfa_finishes"] == 2
 
-    def test_clear_cache_tombstones_and_results_survive(self):
+    def test_a_step_that_cannot_fit_a_flushed_table_finishes_on_the_nfa_walk(self):
+        network = _network(7)
+        data = random_input(random.Random(7), 50)
+        start = _start_row_bytes(network)
+        compiled = compile_lazydfa(network, budget=start)
+        got = lazydfa_run(compiled, data, track_enabled=True)
+        _assert_matches_reference(network, data, got)
+        stats = compiled.cache_stats()
+        # One flush, then the same step still does not fit: no second try.
+        assert stats["flushes"] == stats["nfa_finishes"] == 1
+        assert stats["cells"] == 0 and stats["bytes"] == start
+
+    def test_clear_cache_empties_the_table_and_results_survive(self):
         rng = random.Random(31)
         network = _network(31)
         data = random_input(rng, 150)
         compiled = compile_lazydfa(network)
         expected = lazydfa_run(compiled, data, track_enabled=True)
         compiled.clear_cache()
-        assert compiled.cache_stats()["size"] == 0
+        assert compiled.cache_stats()["cells"] == 0
         again = lazydfa_run(compiled, data, track_enabled=True)
         assert reports_equal(again.reports, expected.reports)
         assert (again.ever_enabled == expected.ever_enabled).all()
 
     def test_clear_cache_resets_lifetime_counters(self):
         # clear_cache is a full reset to the post-compile state: the
-        # lifetime counters go back to zero along with the rows, so
+        # lifetime counters go back to zero along with the table, so
         # cache_stats() after a clear describes only post-clear work.
         rng = random.Random(37)
         network = _network(37)
         data = random_input(rng, 150)
         compiled = compile_lazydfa(network)
         lazydfa_run(compiled, data)
-        assert compiled.cache_stats()["inserts"] > 0
+        assert compiled.cache_stats()["cell_builds"] > 0
         compiled.clear_cache()
-        stats = compiled.cache_stats()
-        assert stats["size"] == 0
-        for counter in ("hits", "cell_builds", "inserts", "evictions",
-                        "fallback_steps"):
-            assert stats[counter] == 0, counter
-        # ... and the counters resume counting from zero afterwards.
+        assert compiled.cache_stats() == compile_lazydfa(network).cache_stats()
         lazydfa_run(compiled, data)
         after = compiled.cache_stats()
-        assert after["inserts"] > 0 and after["hits"] >= 0
+        assert after["cell_builds"] > 0 and after["hits"] >= 0
+
+    def test_pickle_round_trip_drops_the_table(self):
+        rng = random.Random(13)
+        network = _network(13)
+        data = random_input(rng, 120)
+        compiled = compile_lazydfa(network, budget=50_000)
+        lazydfa_run(compiled, data)
+        assert compiled.cache_stats()["cells"] > 0
+        restored = pickle.loads(pickle.dumps(compiled))
+        assert restored.cache_stats() == compile_lazydfa(network, budget=50_000).cache_stats()
+        _assert_matches_reference(
+            network, data, lazydfa_run(restored, data, track_enabled=True)
+        )
+
+    def test_two_threads_on_one_artifact_stay_bit_identical(self):
+        rng = random.Random(17)
+        network = _network(17)
+        inputs = [random_input(rng, rng.randint(0, 150)) for _ in range(40)] * 3
+        expected = [reference_run(network, data) for data in inputs]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+        try:
+            # 4,000 bytes keep the threads flushing the shared table; the
+            # default budget never flushes, so every step is a hit or a build.
+            for budget in (4000, DEFAULT_LAZY_BUDGET):
+                compiled = compile_lazydfa(network, budget=budget)
+                with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                    results = list(pool.map(
+                        lambda data: lazydfa_run(compiled, data, track_enabled=True),
+                        inputs, timeout=120,
+                    ))
+                for got, want in zip(results, expected):
+                    assert reports_equal(got.reports, want.reports)
+                    assert (got.ever_enabled == want.ever_enabled).all()
+                stats = compiled.cache_stats()
+                assert stats["bytes"] <= budget
+                if budget == DEFAULT_LAZY_BUDGET:
+                    assert stats["hits"] + stats["cell_builds"] == sum(map(len, inputs))
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestEngineMetadata:
     def test_registered_without_feasibility_gate(self):
         engine = ENGINES["lazydfa"]
         assert engine.streaming_only
-        # No proof required: the hybrid is feasible even for the classic
+        # No proof required: the lazy table is feasible even for the classic
         # exponential-blowup pattern that the eager backend must reject.
         assert engine.feasible(blowup_network())
 
     def test_artifact_direct_construction_validates(self):
-        with pytest.raises(ValueError):
-            CompiledLazyDfa(subset_core(_network()), capacity=0)
+        with pytest.raises(ValueError, match="budget"):
+            CompiledLazyDfa(subset_core(_network()), budget=0)

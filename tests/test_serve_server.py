@@ -635,11 +635,50 @@ class TestStatsAndLifecycle:
         with pytest.raises(ValueError, match="serve backend"):
             ServeState(backend="systolic")
 
-    def test_multistream_is_a_synonym_for_bitpacked(self):
+    def test_multistream_is_a_synonym_for_the_default(self):
         state = ServeState(backend="multistream")
-        assert state.backend == "bitpacked"
+        assert state.backend == ServeState().backend == "lazydfa"
         entry = state.add_network("toy", _chain_network(b"ab"))
-        assert entry.backend == "bitpacked" and entry.prepared is entry.compiled
+        assert entry.backend == "lazydfa" and entry.prepared is entry.lazydfa
+
+
+class TestServeDefaults:
+    """``repro serve`` runs the lazy table on one executor thread unless
+    told otherwise; the NFA walk stays one flag away."""
+
+    def test_server_options_state_and_executor_defaults(self):
+        options = ServerOptions()
+        assert options.backend == "lazydfa" and options.workers == 1
+        server = MatchServer(None, options)
+        assert server.state.backend == "lazydfa"
+        assert server._executor._max_workers == 1
+        server._executor.shutdown()
+
+    def test_cli_defaults_match_server_options(self, monkeypatch):
+        from repro import __main__ as cli
+
+        parsed = []
+        monkeypatch.setattr(cli, "_cmd_serve", lambda args: parsed.append(args) or 0)
+        assert cli.main(["serve"]) == 0
+        assert cli.main(["serve", "--backend", "bitpacked", "--workers", "2"]) == 0
+        defaults, chosen = parsed
+        assert (defaults.backend, defaults.workers) == (
+            ServerOptions().backend, ServerOptions().workers)
+        assert (chosen.backend, chosen.workers) == ("bitpacked", 2)
+
+    @pytest.mark.parametrize("backend", ["lazydfa", "bitpacked"])
+    def test_each_backend_serves_the_scalar_reports(self, tmp_path, backend):
+        async def scenario():
+            async with _server(tmp_path, backend=backend) as (server, sock):
+                entry = server.state.get_blocking("toy")
+                assert entry.backend == backend
+                data = b"xxabyababz" * 7
+                async with await AsyncServeClient.open(unix_path=sock) as client:
+                    outcome = await client.match("toy", data)
+                scalar = run(entry.compiled, data)
+                assert outcome.reports == [tuple(r) for r in scalar.reports.tolist()]
+
+        asyncio.run(scenario())
 
 
 class TestLoadgen:
